@@ -106,49 +106,38 @@ def purity(rho: np.ndarray) -> float:
     return float(np.einsum("ij,ji->", rho, rho).real)
 
 
-def trajectory_step(psi: np.ndarray, gamma: float, rng: np.random.Generator):
-    """Sample one measure-and-reset round on a pure memory state.
+def trajectory_step(states: np.ndarray, gamma: float, uniforms: np.ndarray):
+    """Sample one measure-and-reset round on a batch of pure memory states.
 
-    Collapses qubit by qubit (one uniform draw per qubit, ascending order),
-    which samples the joint outcome with probability ||kron_j K_{b_j} psi||^2.
-    Returns (collapsed state, outcome bitstring as an int).
+    ``states`` is ``(m, 2**n_mem)`` and ``uniforms`` holds one ``[0, 1)``
+    draw per row and qubit, ``(m, n_mem)``.  Each row collapses qubit by
+    qubit in ascending order, which samples the joint outcome with
+    probability ||kron_j K_{b_j} psi||^2.  Rows never mix, so a row's result
+    does not depend on the batch it rides in.
+    Returns (collapsed states, outcome bitstrings as int64).
     """
     gamma = check_gamma(gamma)
-    psi = np.asarray(psi, dtype=complex).copy()
-    n = n_qubits_of(psi.shape[0])
+    states = np.asarray(states, dtype=complex)
+    m, dim = states.shape
+    n = n_qubits_of(dim)
+    if np.shape(uniforms) != (m, n):
+        raise ValueError(f"uniforms shape {np.shape(uniforms)} != {(m, n)}")
     a, b = swap_coefficients(gamma)
     p = damping_probability(gamma)
-    bits = 0
-    idx = np.arange(psi.shape[0])
+    idx = np.arange(dim)
+    bits = np.zeros(m, dtype=np.int64)
     for q in range(n):
         mask1 = ((idx >> q) & 1).astype(bool)
-        w1 = np.sum(np.abs(psi[mask1]) ** 2)
-        if rng.random() < p * w1:
-            bits |= 1 << q
-            new = np.zeros_like(psi)
-            new[~mask1] = b * psi[mask1]
-            psi = new
-        else:
-            psi[mask1] *= a
-        psi /= np.sqrt(np.sum(np.abs(psi) ** 2))
-    return psi, bits
-
-
-def check_density_matrix(rho: np.ndarray, atol: float = 1e-10) -> None:
-    """Raise ValueError unless rho is Hermitian, unit-trace and PSD within atol."""
-    rho = np.asarray(rho)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError(f"density matrix must be square, got shape {rho.shape}")
-    n_qubits_of(rho.shape[0])
-    herm = np.max(np.abs(rho - rho.conj().T))
-    if herm > atol:
-        raise ValueError(f"density matrix not Hermitian: max deviation {herm:.3e}")
-    tr = np.trace(rho)
-    if abs(tr - 1.0) > atol:
-        raise ValueError(f"density matrix trace {tr:.12f} != 1")
-    lo = np.linalg.eigvalsh((rho + rho.conj().T) / 2).min()
-    if lo < -atol:
-        raise ValueError(f"density matrix has negative eigenvalue {lo:.3e}")
+        excited = states[:, mask1]
+        take = uniforms[:, q] < p * np.sum(np.abs(excited) ** 2, axis=1)
+        collapsed = np.zeros_like(states)
+        collapsed[:, ~mask1] = b * excited
+        kept = states.copy()
+        kept[:, mask1] = a * excited
+        states = np.where(take[:, None], collapsed, kept)
+        states /= np.sqrt(np.sum(np.abs(states) ** 2, axis=1))[:, None]
+        bits |= take.astype(np.int64) << q
+    return states, bits
 
 
 def rehermitize(rho: np.ndarray, trace_tol: float = 1e-12) -> np.ndarray:

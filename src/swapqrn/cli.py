@@ -28,21 +28,20 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict, fields, replace
 from itertools import product
 from pathlib import Path
+from typing import get_args, get_origin
 
 import numpy as np
 
 from . import __version__
-from .gates import check_gamma
-from .reservoir import ReservoirConfig
+from .reservoir import BACKENDS, ReservoirConfig
 from .tasks import (
     StmcSpec, NarmaSpec, EsnConfig, run_stmc, run_narma, run_esn_narma,
 )
 
 TASKS = ("stmc", "narma5", "esn-baseline")
-BACKENDS = ("exact", "sampled", "trajectory")
 
 RANDOM_GUESS_U01 = float(np.sqrt(1.0 / 12.0))
 
@@ -50,35 +49,31 @@ DEFAULT_GAMMA_GRID = tuple(round(0.05 * k, 10) for k in range(1, 21))
 DEFAULT_NQUBITS_GRID = tuple(range(2, 17, 2))
 DEFAULT_NREPEATS_GRID = (1, 3)
 
+# task defaults that differ from the ReservoirConfig field defaults
+_NARMA_RESERVOIR = dict(n_qubits=12, gamma=0.75, n_repeats=3, c=5, n_shots=60000)
 _RESERVOIR_DEFAULTS = {
-    "stmc": dict(n_qubits=16, gamma=0.55, n_repeats=1, c=1,
-                 n_shots=30000, seed=42, backend="exact"),
-    "narma5": dict(n_qubits=12, gamma=0.75, n_repeats=3, c=5,
-                   n_shots=60000, seed=42, backend="exact"),
-    "esn-baseline": dict(n_qubits=12, gamma=0.75, n_repeats=3, c=5,
-                         n_shots=60000, seed=42, backend="exact"),
+    "stmc": dict(n_qubits=16, gamma=0.55, n_shots=30000),
+    "narma5": _NARMA_RESERVOIR,
+    "esn-baseline": _NARMA_RESERVOIR,
 }
 
-_RESERVOIR_SCHEMA = {
-    "n_qubits": int, "gamma": float, "n_repeats": int, "c": int,
-    "n_shots": int, "seed": int, "backend": str,
-}
-_NARMA_TASK_SCHEMA = {
-    "n_total": int, "n_train": int, "n_test": int, "n_washout": int,
-    "alpha": float, "seed": int,
-}
+
+def _schema(cls, skip=()):
+    """INI schema of a config dataclass: field name -> annotated type."""
+    return {f.name: f.type for f in fields(cls) if f.name not in skip}
+
+
+_RESERVOIR_SCHEMA = _schema(ReservoirConfig)
+# the ESN takes its size from the reservoir and its seed from the task
+_ESN_SCHEMA = _schema(EsnConfig, skip=("n_nodes", "seed"))
 _TASK_SCHEMA = {
-    "stmc": {**_NARMA_TASK_SCHEMA, "delays": "int_list"},
-    "narma5": _NARMA_TASK_SCHEMA,
-    "esn-baseline": {**_NARMA_TASK_SCHEMA, "n_esn_seeds": int,
-                     "spectral_radius": float, "leak_rate": float},
+    "stmc": _schema(StmcSpec),
+    "narma5": _schema(NarmaSpec),
+    "esn-baseline": {**_schema(NarmaSpec), **_ESN_SCHEMA, "n_esn_seeds": int},
 }
-_SWEEP_SCHEMA = {"gamma": "float_list", "n_qubits": "int_list",
-                 "n_repeats": "int_list"}
+_SWEEP_SCHEMA = {"gamma": tuple[float, ...], "n_qubits": tuple[int, ...],
+                 "n_repeats": tuple[int, ...]}
 _EXPERIMENT_SCHEMA = {"task": str, "outdir": str}
-
-_RESERVOIR_FLAGS = ("n_qubits", "gamma", "n_repeats", "n_shots", "c", "backend")
-_ESN_ONLY_KEYS = ("n_esn_seeds", "spectral_radius", "leak_rate")
 
 
 class ConfigError(ValueError):
@@ -105,18 +100,16 @@ class SweepPoint:
 
 
 def _coerce(raw, kind, path):
+    """Parse one INI value as ``kind``: a scalar type, ``T | None`` (read as
+    ``T``), or ``tuple[T, ...]`` (a comma-separated list)."""
+    item = next((a for a in get_args(kind) if a is not type(None)), kind)
     try:
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-        if kind is str:
-            return str(raw)
+        if get_origin(kind) is not tuple:
+            return item(raw)
         items = [x.strip() for x in str(raw).split(",") if x.strip()]
         if not items:
             raise ValueError("empty list")
-        typ = int if kind == "int_list" else float
-        return tuple(typ(x) for x in items)
+        return tuple(item(x) for x in items)
     except ValueError as exc:
         raise ConfigError(f"invalid value for {path}: {raw!r} ({exc})") from exc
 
@@ -146,19 +139,14 @@ def _section_values(parser, section, schema):
     return values
 
 
-def _validate_grids(sweep):
-    for g in sweep.get("gamma", ()):
-        try:
-            check_gamma(g)
-        except ValueError as exc:
-            raise ConfigError(f"sweep.gamma: {exc}") from exc
-    for n in sweep.get("n_qubits", ()):
-        if n < 2 or n % 2 != 0:
-            raise ConfigError(
-                f"sweep.n_qubits: values must be even and >= 2, got {n}")
-    for r in sweep.get("n_repeats", ()):
-        if r < 1:
-            raise ConfigError(f"sweep.n_repeats: values must be >= 1, got {r}")
+def _validate_grids(sweep, reservoir):
+    """Each grid value must make a valid config with the base reservoir."""
+    for axis, values in sweep.items():
+        for value in values:
+            try:
+                replace(reservoir, **{axis: value})
+            except ValueError as exc:
+                raise ConfigError(f"sweep.{axis}: {exc}") from exc
 
 
 def parse_config(task=None, config_path=None, flag_overrides=None):
@@ -177,51 +165,40 @@ def parse_config(task=None, config_path=None, flag_overrides=None):
     task_values = _section_values(parser, "task", _TASK_SCHEMA[task])
     sweep_values = _section_values(parser, "sweep", _SWEEP_SCHEMA)
 
-    for key in _RESERVOIR_FLAGS:
+    for key in _RESERVOIR_SCHEMA:
         if flags.get(key) is not None:
             reservoir_values[key] = flags[key]
     if flags.get("seed") is not None:
-        reservoir_values["seed"] = flags["seed"]
         task_values["seed"] = flags["seed"]
     if flags.get("alpha") is not None:
         task_values["alpha"] = flags["alpha"]
     if flags.get("n_esn_seeds") is not None and task == "esn-baseline":
         task_values["n_esn_seeds"] = flags["n_esn_seeds"]
-    for axis in ("gamma", "n_qubits", "n_repeats"):
+    for axis, kind in _SWEEP_SCHEMA.items():
         raw = flags.get(f"{axis}_grid")
         if raw is not None:
-            sweep_values[axis] = _coerce(
-                raw, _SWEEP_SCHEMA[axis], f"sweep.{axis}")
+            sweep_values[axis] = _coerce(raw, kind, f"sweep.{axis}")
 
     try:
         reservoir = ReservoirConfig(**reservoir_values)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config error in [reservoir]: {exc}") from exc
 
-    esn = None
-    n_esn_seeds = 200
-    if task == "esn-baseline":
-        n_esn_seeds = task_values.pop("n_esn_seeds", 200)
-        if n_esn_seeds < 1:
-            raise ConfigError(
-                f"task.n_esn_seeds must be >= 1, got {n_esn_seeds}")
-        esn_kwargs = {k: task_values.pop(k) for k in
-                      ("spectral_radius", "leak_rate") if k in task_values}
-        try:
-            esn = EsnConfig(n_nodes=reservoir.n_mem,
-                            seed=task_values.get("seed", 42), **esn_kwargs)
-        except ValueError as exc:
-            raise ConfigError(f"config error in [task]: {exc}") from exc
-
+    n_esn_seeds = task_values.pop("n_esn_seeds", 200)
+    if n_esn_seeds < 1:
+        raise ConfigError(f"task.n_esn_seeds must be >= 1, got {n_esn_seeds}")
+    esn_kwargs = {k: task_values.pop(k) for k in _ESN_SCHEMA if k in task_values}
     spec_cls = StmcSpec if task == "stmc" else NarmaSpec
     try:
         task_spec = spec_cls(**task_values)
+        esn = (EsnConfig(n_nodes=reservoir.n_mem, seed=task_spec.seed, **esn_kwargs)
+               if task == "esn-baseline" else None)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config error in [task]: {exc}") from exc
 
     sweep = sweep_values or None
     if sweep:
-        _validate_grids(sweep)
+        _validate_grids(sweep, reservoir)
 
     outdir = (flags.get("outdir") or experiment.get("outdir")
               or os.path.join("results", task))
@@ -301,9 +278,7 @@ def _execute_point(cfg, point):
     start = time.perf_counter()
     rc = replace(cfg.reservoir, n_qubits=point.n_qubits, gamma=point.gamma,
                  n_repeats=point.n_repeats)
-    record_cfg = {"n_qubits": rc.n_qubits, "gamma": rc.gamma,
-                  "n_repeats": rc.n_repeats, "c": rc.c, "n_shots": rc.n_shots,
-                  "seed": rc.seed, "backend": rc.backend}
+    record_cfg = asdict(rc)
     if cfg.task == "esn-baseline":
         record_cfg["n_nodes"] = rc.n_qubits // 2
     record = {"point_index": point.index, "task": cfg.task,
@@ -483,6 +458,8 @@ def cmd_run(cfg):
 
 
 def cmd_sweep(cfg, workers):
+    if workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {workers}")
     points = sweep_points(cfg)
     outdir = Path(cfg.outdir)
     staging = outdir / "points"
@@ -580,11 +557,7 @@ def main(argv=None):
     try:
         if args.verb == "plotdata":
             return cmd_plotdata(args.records, args.outdir)
-        flag_keys = ("task", "outdir", "n_qubits", "gamma", "n_repeats",
-                     "n_shots", "c", "alpha", "seed", "backend", "n_esn_seeds",
-                     "gamma_grid", "n_qubits_grid", "n_repeats_grid")
-        flags = {k: getattr(args, k, None) for k in flag_keys}
-        cfg = parse_config(config_path=args.config, flag_overrides=flags)
+        cfg = parse_config(config_path=args.config, flag_overrides=vars(args))
         if args.verb == "run":
             return cmd_run(cfg)
         return cmd_sweep(cfg, args.workers)

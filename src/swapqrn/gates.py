@@ -1,20 +1,12 @@
-"""Gate constructors and targeted unitary application on density matrices.
+"""Single-qubit rotations and the partial-SWAP coupling coefficients.
 
 Qubit ordering is little-endian throughout the package: qubit 0 is the least
-significant bit of a basis index. Multi-qubit gate matrices index their
-targets with targets[0] as the most significant bit.
+significant bit of a basis index.
 """
 
 from __future__ import annotations
 
-import string
-
 import numpy as np
-
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-I2 = np.eye(2, dtype=complex)
 
 
 def _check_angle(theta: float) -> float:
@@ -36,12 +28,6 @@ def ry(theta: float) -> np.ndarray:
     theta = _check_angle(theta)
     c, s = np.cos(theta / 2), np.sin(theta / 2)
     return np.array([[c, -s], [s, c]], dtype=complex)
-
-
-def crz(theta: float) -> np.ndarray:
-    """Controlled-Rz: diag(1, 1, e^{-i theta/2}, e^{+i theta/2}), control on the high bit."""
-    theta = _check_angle(theta)
-    return np.diag([1.0, 1.0, np.exp(-0.5j * theta), np.exp(0.5j * theta)])
 
 
 def check_gamma(gamma: float) -> float:
@@ -83,51 +69,9 @@ def partial_swap_unitary(gamma: float) -> np.ndarray:
          [0, 0, 0, 1]], dtype=complex)
 
 
-def is_unitary(u: np.ndarray, atol: float = 1e-12) -> bool:
-    u = np.asarray(u)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        return False
-    return bool(np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))) <= atol)
-
-
 def n_qubits_of(dim: int) -> int:
     n = int(dim).bit_length() - 1
     if dim != 1 << n:
         raise ValueError(f"dimension {dim} is not a power of two")
     return n
 
-
-def apply_unitary(rho: np.ndarray, u: np.ndarray, targets: list[int]) -> np.ndarray:
-    """Conjugate rho by a k-qubit gate acting on the given target qubits.
-
-    targets[0] corresponds to the most significant bit of u's basis index.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    u = np.asarray(u, dtype=complex)
-    n = n_qubits_of(rho.shape[0])
-    k = len(targets)
-    if len(set(targets)) != k:
-        raise ValueError(f"duplicate targets: {targets}")
-    if any(not 0 <= q < n for q in targets):
-        raise ValueError(f"targets {targets} out of range for {n} qubits")
-    if u.shape != (1 << k, 1 << k):
-        raise ValueError(f"gate shape {u.shape} does not match {k} targets")
-
-    letters = string.ascii_letters
-    ut = u.reshape((2,) * (2 * k))
-    t = rho.reshape((2,) * (2 * n))
-
-    # row side: qubit q lives on axis n-1-q; col side on axis 2n-1-q
-    for side_offset, gate in ((0, ut), (n, ut.conj())):
-        idx = list(letters[:2 * n])
-        out_idx = idx.copy()
-        g_out, g_in = [], []
-        for m, q in enumerate(targets):
-            ax = side_offset + (n - 1 - q)
-            fresh = letters[2 * n + m]
-            g_out.append(fresh)
-            g_in.append(idx[ax])
-            out_idx[ax] = fresh
-        sub = "".join(g_out + g_in) + "," + "".join(idx) + "->" + "".join(out_idx)
-        t = np.einsum(sub, gate, t)
-    return t.reshape(rho.shape)

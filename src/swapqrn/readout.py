@@ -6,6 +6,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError as _SciLinAlgError
 
+SHORT_DELAYS = tuple(range(0, -5, -1))
+
 
 @dataclass(frozen=True)
 class RidgeModel:
@@ -72,8 +74,7 @@ def rmse(pred, target):
 
 def mean_rmse_short(per_delay):
     """Mean RMSE over the five shortest delays 0, -1, ..., -4."""
-    short = tuple(range(0, -5, -1))
-    missing = [d for d in short if d not in per_delay]
+    missing = [d for d in SHORT_DELAYS if d not in per_delay]
     if missing:
         raise ValueError(f"missing delays {missing}")
-    return float(np.mean([per_delay[d].rmse for d in short]))
+    return float(np.mean([per_delay[d].rmse for d in SHORT_DELAYS]))

@@ -12,8 +12,8 @@ Three backends produce the feature matrix:
     deterministic recursion on the reduced memory density matrix; rows are
     exact Born distributions.
 ``sampled``
-    the same recursion, but each row is replaced by multinomial frequencies
-    at ``n_shots`` draws, modelling finite measurement statistics.
+    the exact rows, each replaced by multinomial frequencies at ``n_shots``
+    draws, modelling finite measurement statistics.
 ``trajectory``
     full Monte-Carlo wavefunction unravelling: every shot propagates a pure
     state through stochastic collapse at each step, and rows are bitstring
@@ -26,14 +26,14 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .gates import check_gamma, swap_coefficients, damping_probability
+from .gates import check_gamma
 from .channel import (
-    ground_state, ground_state_vector, damping_channel,
-    outcome_distribution, rehermitize,
+    ground_state, damping_channel, outcome_distribution, rehermitize,
+    trajectory_step,
 )
-from .embedding import EmbeddingWeights, context_window, compute_angles, embedding_unitary
+from .embedding import context_window, compute_angles, embedding_unitary
 
-_BACKENDS = ("exact", "sampled", "trajectory")
+BACKENDS = ("exact", "sampled", "trajectory")
 
 
 @dataclass(frozen=True)
@@ -62,9 +62,9 @@ class ReservoirConfig:
             raise ValueError(f"n_repeats must be >= 1, got {self.n_repeats}")
         if self.c < 1:
             raise ValueError(f"context length c must be >= 1, got {self.c}")
-        if self.backend not in _BACKENDS:
+        if self.backend not in BACKENDS:
             raise ValueError(
-                f"backend must be one of {_BACKENDS}, got {self.backend!r}")
+                f"backend must be one of {BACKENDS}, got {self.backend!r}")
         if self.n_shots is not None and self.n_shots < 1:
             raise ValueError(f"n_shots must be >= 1, got {self.n_shots}")
         if self.backend != "exact" and self.n_shots is None:
@@ -116,19 +116,13 @@ def run_sampled(u, weights, cfg, rng):
 
     The memory state itself follows the exact recursion; only the recorded
     rows carry shot noise, matching a device that re-prepares the identical
-    reservoir for every measurement batch.
+    reservoir for every measurement batch.  Rows are drawn in time order.
     """
-    _check_weights(weights, cfg)
     if cfg.n_shots is None:
         raise ValueError("run_sampled requires cfg.n_shots")
-    u = np.asarray(u, dtype=float)
-    rho = ground_state(cfg.n_mem)
-    features = np.empty((len(u), 2 ** cfg.n_mem))
-    for t in range(len(u)):
-        rho, dist = step(rho, context_window(u, t, cfg.c), weights, cfg)
-        rho = rehermitize(rho)
-        features[t] = rng.multinomial(cfg.n_shots, dist / dist.sum())
-    return features / cfg.n_shots
+    rows = run_exact(u, weights, cfg)
+    counts = rng.multinomial(cfg.n_shots, rows / rows.sum(axis=1, keepdims=True))
+    return counts / cfg.n_shots
 
 
 def _embedding_series(u, weights, cfg):
@@ -145,10 +139,9 @@ def run_trajectories(u, weights, cfg, rng, chunk=4096):
     """Feature matrix of bitstring frequencies over ``cfg.n_shots`` pure-state
     trajectories.
 
-    Each shot owns an independent child generator spawned from ``rng``, so
-    results do not depend on ``chunk``; the batched collapse arithmetic
-    mirrors :func:`swapqrn.channel.trajectory_step` operation for operation,
-    making single-shot streams bit-reproducible.
+    Each shot owns an independent child generator spawned from ``rng`` and
+    :func:`swapqrn.channel.trajectory_step` never mixes rows, so results do
+    not depend on ``chunk`` and single-shot streams are bit-reproducible.
     """
     _check_weights(weights, cfg)
     if cfg.n_shots is None:
@@ -156,10 +149,7 @@ def run_trajectories(u, weights, cfg, rng, chunk=4096):
     u = np.asarray(u, dtype=float)
     n_steps, n_mem = len(u), cfg.n_mem
     dim = 2 ** n_mem
-    a, b = swap_coefficients(cfg.gamma)
-    p = damping_probability(cfg.gamma)
     unitaries = _embedding_series(u, weights, cfg)
-    masks = [((np.arange(dim) >> q) & 1).astype(bool) for q in range(n_mem)]
 
     counts = np.zeros((n_steps, dim), dtype=np.int64)
     done = 0
@@ -170,19 +160,8 @@ def run_trajectories(u, weights, cfg, rng, chunk=4096):
         states = np.zeros((m, dim), dtype=complex)
         states[:, 0] = 1.0
         for t in range(n_steps):
-            states = states @ unitaries[t].T
-            bits = np.zeros(m, dtype=np.int64)
-            for q in range(n_mem):
-                mask1 = masks[q]
-                w1 = np.sum(np.abs(states[:, mask1]) ** 2, axis=1)
-                take = uniforms[:, t, q] < p * w1
-                collapsed = np.zeros_like(states)
-                collapsed[:, ~mask1] = b * states[:, mask1]
-                kept = states.copy()
-                kept[:, mask1] *= a
-                states = np.where(take[:, None], collapsed, kept)
-                states /= np.sqrt(np.sum(np.abs(states) ** 2, axis=1))[:, None]
-                bits |= take.astype(np.int64) << q
+            states, bits = trajectory_step(states @ unitaries[t].T, cfg.gamma,
+                                           uniforms[:, t])
             counts[t] += np.bincount(bits, minlength=dim)
         done += m
     return counts / cfg.n_shots

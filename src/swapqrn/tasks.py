@@ -16,9 +16,9 @@ import numpy as np
 
 from .embedding import init_weights
 from .reservoir import run_features
-from .readout import Metrics, ridge_fit, predict, r_squared, rmse, mean_rmse_short
-
-SHORT_DELAYS = tuple(range(0, -5, -1))
+from .readout import (
+    SHORT_DELAYS, Metrics, ridge_fit, predict, r_squared, rmse, mean_rmse_short,
+)
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,7 @@ class StmcSpec:
     n_washout: int = 15
     alpha: float = 1e-5
     seed: int = 42
-    delays: tuple = tuple(range(0, -11, -1))
+    delays: tuple[int, ...] = tuple(range(0, -11, -1))
 
     def __post_init__(self):
         if any(tau > 0 for tau in self.delays):

@@ -7,6 +7,8 @@ under test, so agreement between the two is meaningful.
 
 import numpy as np
 
+from swapqrn.gates import check_gamma, damping_probability, swap_coefficients
+
 
 # ---------------------------------------------------------------------------
 # joint-register brute force: memory qubits 0..n-1 (low bits), readout
@@ -83,6 +85,69 @@ def joint_measure_and_reset(rho_mem: np.ndarray, gamma: float):
     n = rho_mem.shape[0].bit_length() - 1
     joint = coupled_joint_state(rho_mem, gamma)
     return born_readout_probs(joint, n), trace_out_readout(joint, n)
+
+
+def trajectory_step_per_shot(psi: np.ndarray, gamma: float,
+                             rng: np.random.Generator):
+    """One measure-and-reset round on a single pure state, one ``rng.random()``
+    per qubit in ascending order; returns (collapsed state, outcome int).
+
+    The damping coefficients come from the package so that the collapse
+    thresholds, and hence the sampled outcomes, agree bit for bit.
+    """
+    gamma = check_gamma(gamma)
+    psi = np.asarray(psi, dtype=complex).copy()
+    n = psi.shape[0].bit_length() - 1
+    a, b = swap_coefficients(gamma)
+    p = damping_probability(gamma)
+    bits = 0
+    idx = np.arange(psi.shape[0])
+    for q in range(n):
+        mask1 = ((idx >> q) & 1).astype(bool)
+        w1 = np.sum(np.abs(psi[mask1]) ** 2)
+        if rng.random() < p * w1:
+            bits |= 1 << q
+            new = np.zeros_like(psi)
+            new[~mask1] = b * psi[mask1]
+            psi = new
+        else:
+            psi[mask1] *= a
+        psi /= np.sqrt(np.sum(np.abs(psi) ** 2))
+    return psi, bits
+
+
+# ---------------------------------------------------------------------------
+# gates and state checks
+# ---------------------------------------------------------------------------
+
+def crz(theta: float) -> np.ndarray:
+    """Controlled-Rz: diag(1, 1, e^{-i theta/2}, e^{+i theta/2}), control on the high bit."""
+    return np.diag([1.0, 1.0, np.exp(-0.5j * theta), np.exp(0.5j * theta)])
+
+
+def is_unitary(u: np.ndarray, atol: float = 1e-12) -> bool:
+    u = np.asarray(u)
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        return False
+    return bool(np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))) <= atol)
+
+
+def check_density_matrix(rho: np.ndarray, atol: float = 1e-10) -> None:
+    """Raise ValueError unless rho is Hermitian, unit-trace and PSD within atol."""
+    rho = np.asarray(rho)
+    dim = rho.shape[0] if rho.ndim == 2 else 0
+    if rho.shape != (dim, dim) or dim & (dim - 1) or dim == 0:
+        raise ValueError(f"density matrix must be square with a power-of-two "
+                         f"size, got shape {rho.shape}")
+    herm = np.max(np.abs(rho - rho.conj().T))
+    if herm > atol:
+        raise ValueError(f"density matrix not Hermitian: max deviation {herm:.3e}")
+    tr = np.trace(rho)
+    if abs(tr - 1.0) > atol:
+        raise ValueError(f"density matrix trace {tr:.12f} != 1")
+    lo = np.linalg.eigvalsh((rho + rho.conj().T) / 2).min()
+    if lo < -atol:
+        raise ValueError(f"density matrix has negative eigenvalue {lo:.3e}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from swapqrn.channel import (
     kraus_pair, damping_channel, outcome_distribution, purity,
-    trajectory_step, ground_state, ground_state_vector,
-    check_density_matrix, rehermitize,
+    trajectory_step, ground_state, ground_state_vector, rehermitize,
 )
 
 import oracles
+from oracles import check_density_matrix
 
 GAMMA_GRID = np.round(np.arange(0.05, 1.0001, 0.05), 10)
 
@@ -180,10 +181,10 @@ class TestTrajectoryStep:
 
     def test_full_swap_collapses_to_ground(self):
         """gamma=1 on |1>: outcome bit 1, state collapses to |0>."""
-        psi = np.array([0.0, 1.0], dtype=complex)
-        out, bits = trajectory_step(psi, 1.0, np.random.default_rng(0))
-        assert bits == 1
-        assert_allclose(out, [1.0, 0.0], atol=1e-12)
+        psi = np.array([[0.0, 1.0]], dtype=complex)
+        out, bits = trajectory_step(psi, 1.0, np.random.default_rng(0).random((1, 1)))
+        assert bits.tolist() == [1]
+        assert_allclose(out, [[1.0, 0.0]], atol=1e-12)
 
     def test_frequencies_match_distribution(self):
         """1e5 collapse samples agree with outcome_distribution to 3 sigma."""
@@ -192,22 +193,43 @@ class TestTrajectoryStep:
         psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         psi /= np.sqrt(np.sum(np.abs(psi) ** 2))
         expected = outcome_distribution(np.outer(psi, psi.conj()), g)
-        counts = np.zeros(4)
-        for _ in range(shots):
-            _, bits = trajectory_step(psi, g, rng)
-            counts[bits] += 1
-        freq = counts / shots
+        _, bits = trajectory_step(np.tile(psi, (shots, 1)), g, rng.random((shots, n)))
+        freq = np.bincount(bits, minlength=4) / shots
         sigma = np.sqrt(expected * (1 - expected) / shots)
         assert np.all(np.abs(freq - expected) <= 3 * sigma + 1e-12)
 
     def test_state_stays_normalized(self):
         rng = np.random.default_rng(29)
-        psi = ground_state_vector(3)
+        states = np.tile(ground_state_vector(3), (16, 1))
         for _ in range(50):
             u = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
             q, _ = np.linalg.qr(u)
-            psi, _ = trajectory_step(q @ psi, 0.4, rng)
-            assert abs(np.sum(np.abs(psi) ** 2) - 1.0) <= 1e-12
+            states, _ = trajectory_step(states @ q.T, 0.4, rng.random((16, 3)))
+            norms = np.sum(np.abs(states) ** 2, axis=1)
+            assert np.max(np.abs(norms - 1.0)) <= 1e-12
+
+    def test_rejects_mismatched_uniforms(self):
+        with pytest.raises(ValueError):
+            trajectory_step(np.eye(4, dtype=complex), 0.5, np.zeros((4, 3)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 4), m=st.integers(1, 9),
+           gamma=st.floats(0.0, 1.0, exclude_min=True),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_batch_rows_equal_single_row_calls(self, n, m, gamma, seed):
+        """A batch of m states collapses exactly as m batches of one."""
+        rng = np.random.default_rng(seed)
+        states = (rng.standard_normal((m, 2 ** n))
+                  + 1j * rng.standard_normal((m, 2 ** n)))
+        states /= np.sqrt(np.sum(np.abs(states) ** 2, axis=1))[:, None]
+        uniforms = rng.random((m, n))
+        out, bits = trajectory_step(states, gamma, uniforms)
+        for i in range(m):
+            row, bit = trajectory_step(states[i:i + 1], gamma, uniforms[i:i + 1])
+            assert np.array_equal(row[0], out[i])
+            assert bit[0] == bits[i]
+        norms = np.sum(np.abs(out) ** 2, axis=1)
+        assert np.max(np.abs(norms - 1.0)) <= 1e-12
 
 
 class TestValidation:

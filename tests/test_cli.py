@@ -128,6 +128,17 @@ class TestSweepGrid:
         assert sorted({p.n_qubits for p in points}) == [2, 4, 6, 8, 10, 12, 14, 16]
         assert len(points) == 8
 
+    @pytest.mark.parametrize("axis, section, flags", [
+        ("n_qubits", "n_qubits = 3", {}),
+        ("gamma", "", {"gamma_grid": "0,0.5"}),
+        ("n_repeats", "n_repeats = 0", {}),
+    ])
+    def test_invalid_grid_value_names_axis(self, tmp_path, axis, section, flags):
+        path = write_config(tmp_path, TINY_STMC + f"\n[sweep]\n{section}\n")
+        with pytest.raises(cli.ConfigError) as err:
+            cli.parse_config(config_path=path, flag_overrides=flags)
+        assert str(err.value).startswith(f"sweep.{axis}: ")
+
 
 class TestRunVerb:
 
@@ -200,6 +211,17 @@ class TestSweepVerb:
         for rec in a + b:
             rec.pop("wall_time_s")
         assert a == b
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_rejected(self, tmp_path, capsys, workers):
+        path = write_config(
+            tmp_path, TINY_STMC + "\n[sweep]\ngamma = 0.5\nn_qubits = 2\nn_repeats = 1\n")
+        out = tmp_path / "out"
+        code = cli.main(["sweep", "--config", path, "--outdir", str(out),
+                         "--workers", workers])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists()
 
     def test_point_failure_recorded_and_sweep_continues(self, tmp_path, monkeypatch):
         real = cli.TASK_RUNNERS["stmc"]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from swapqrn.gates import rx, ry, crz, is_unitary
+from swapqrn.gates import rx, ry
 from swapqrn.embedding import (
     EmbeddingWeights, init_weights, context_window, compute_angles,
     ring_edges, embedding_unitary,
@@ -124,7 +124,7 @@ class TestEmbeddingUnitary:
             for reps in (1, 2, 3):
                 theta = rng.uniform(0, np.pi, (n_mem, 3))
                 wh = rng.uniform(0, np.pi, n_mem)
-                assert is_unitary(embedding_unitary(theta, wh, reps), atol=1e-12)
+                assert oracles.is_unitary(embedding_unitary(theta, wh, reps), atol=1e-12)
 
     def test_repeats_are_matrix_powers(self):
         rng = np.random.default_rng(23)
@@ -141,7 +141,7 @@ class TestEmbeddingUnitary:
         wh = rng.uniform(0, np.pi, 2)
         rots = [rx(t[0]) @ ry(t[1]) @ rx(t[2]) for t in theta]
         dense_rot = np.kron(rots[1], rots[0])
-        dense_crz = oracles.embed_pair(crz(wh[0]), 2, 0, 1)
+        dense_crz = oracles.embed_pair(oracles.crz(wh[0]), 2, 0, 1)
         assert_allclose(embedding_unitary(theta, wh, 1),
                         dense_crz @ dense_rot, atol=1e-13)
 
@@ -157,7 +157,7 @@ class TestEmbeddingUnitary:
                 dense_rot = np.kron(dense_rot, r)
             dense = dense_rot
             for j, (ctrl, tgt) in enumerate(ring_edges(n_mem)):
-                dense = oracles.embed_pair(crz(wh[j]), n_mem, ctrl, tgt) @ dense
+                dense = oracles.embed_pair(oracles.crz(wh[j]), n_mem, ctrl, tgt) @ dense
             assert_allclose(embedding_unitary(theta, wh, 1), dense, atol=1e-13)
 
     def test_rejects_shape_mismatch(self):

@@ -2,12 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from swapqrn.gates import (
-    rx, ry, crz, swap_coefficients, partial_swap_unitary,
-    apply_unitary, is_unitary,
-)
+from swapqrn.gates import rx, ry, swap_coefficients, partial_swap_unitary
 
-import oracles
+from oracles import crz, is_unitary
 
 GAMMA_GRID = np.round(np.arange(0.05, 1.0001, 0.05), 10)
 
@@ -93,58 +90,3 @@ class TestPartialSwap:
             with pytest.raises(ValueError):
                 partial_swap_unitary(g)
 
-
-class TestApplyUnitary:
-
-    def test_rx_pi_flips_ground_state(self):
-        """rx(pi) maps |0><0| to |1><1| exactly."""
-        rho = np.zeros((2, 2), dtype=complex)
-        rho[0, 0] = 1.0
-        out = apply_unitary(rho, rx(np.pi), [0])
-        expected = np.zeros((2, 2), dtype=complex)
-        expected[1, 1] = 1.0
-        assert_allclose(out, expected, atol=1e-15)
-
-    def test_matches_dense_embedding_single_qubit(self):
-        """Targeted application equals conjugation by the kron-embedded gate."""
-        rng = np.random.default_rng(3)
-        for n in (1, 2, 3, 4):
-            rho = oracles.random_density(rng, 2 ** n)
-            for q in range(n):
-                g = rx(rng.uniform(0, np.pi)) @ ry(rng.uniform(0, np.pi))
-                full = np.eye(1, dtype=complex)
-                for k in reversed(range(n)):
-                    full = np.kron(full, g if k == q else np.eye(2))
-                assert_allclose(apply_unitary(rho, g, [q]),
-                                full @ rho @ full.conj().T, atol=1e-13)
-
-    def test_matches_dense_embedding_two_qubit(self):
-        """Two-qubit targets, including swapped order, equal the loop-built embedding."""
-        rng = np.random.default_rng(4)
-        for n in (2, 3, 4):
-            rho = oracles.random_density(rng, 2 ** n)
-            u4 = crz(rng.uniform(0, 2 * np.pi))
-            pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
-            for qa, qb in pairs:
-                dense = oracles.embed_pair(u4, n, qa, qb)
-                assert_allclose(apply_unitary(rho, u4, [qa, qb]),
-                                dense @ rho @ dense.conj().T, atol=1e-13)
-
-    def test_target_order_convention(self):
-        """targets[0] is the gate's high bit: crz on [1, 0] phases index bit 1."""
-        theta = 1.234
-        rho = np.full((4, 4), 0.25, dtype=complex)  # |++><++|
-        out = apply_unitary(rho, crz(theta), [1, 0])
-        # control = qubit 1, target = qubit 0: basis order 00,01,10,11 picks up
-        # phases 1, 1, e^{-i t/2}, e^{+i t/2}
-        d = np.array([1, 1, np.exp(-0.5j * theta), np.exp(0.5j * theta)])
-        assert_allclose(out, 0.25 * np.outer(d, d.conj()), atol=1e-14)
-
-    def test_rejects_bad_targets(self):
-        rho = np.eye(4, dtype=complex) / 4
-        with pytest.raises(ValueError):
-            apply_unitary(rho, crz(0.3), [0, 0])
-        with pytest.raises(ValueError):
-            apply_unitary(rho, crz(0.3), [0, 2])
-        with pytest.raises(ValueError):
-            apply_unitary(rho, crz(0.3), [0])  # dimension mismatch

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from swapqrn.channel import ground_state, outcome_distribution, trajectory_step
+from swapqrn.channel import ground_state, outcome_distribution
 from swapqrn.embedding import (
     EmbeddingWeights, init_weights, context_window, compute_angles,
     embedding_unitary,
@@ -170,6 +170,18 @@ class TestRunSampled:
         tv = 0.5 * np.abs(sampled - exact).sum(axis=1)
         assert tv.max() < 0.01
 
+    def test_draws_over_exact_rows(self):
+        """Row t is a multinomial draw over exact row t, drawn in time order."""
+        w = init_weights(4, c=2, n_mem=2)
+        u = np.random.default_rng(6).random(25)
+        cfg = ReservoirConfig(n_qubits=4, gamma=0.45, c=2, backend="sampled",
+                              n_shots=400)
+        rng = np.random.default_rng(8)
+        expected = np.array([rng.multinomial(400, row / row.sum())
+                             for row in run_exact(u, w, cfg)]) / 400
+        assert_allclose(run_sampled(u, w, cfg, np.random.default_rng(8)),
+                        expected, rtol=0, atol=0)
+
     def test_deterministic_given_stream(self):
         w = init_weights(1, c=1, n_mem=1)
         cfg = ReservoirConfig(n_qubits=2, gamma=0.5, backend="sampled",
@@ -204,7 +216,7 @@ class TestRunTrajectories:
         assert tv.max() < 0.05
 
     def test_equals_per_shot_collapse_loop(self):
-        """The batched kernel reproduces shot-by-shot trajectory_step streams."""
+        """The batched kernel reproduces shot-by-shot collapse streams."""
         n_shots, t_len = 12, 6
         w = init_weights(3, c=1, n_mem=2)
         u = np.random.default_rng(4).random(t_len)
@@ -219,7 +231,8 @@ class TestRunTrajectories:
             psi = np.zeros(4, dtype=complex)
             psi[0] = 1.0
             for t in range(t_len):
-                psi, bits = trajectory_step(unitaries[t] @ psi, 0.5, child)
+                psi, bits = oracles.trajectory_step_per_shot(
+                    unitaries[t] @ psi, 0.5, child)
                 counts[t, bits] += 1
         assert_allclose(freq, counts / n_shots, rtol=0, atol=0)
 
