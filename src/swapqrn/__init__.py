@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .gates import rx, ry, partial_swap_unitary, swap_coefficients
+from .gates import partial_swap_unitary, swap_coefficients
 from .channel import (
     KrausPair, kraus_pair, damping_channel, outcome_distribution, purity,
     trajectory_step, ground_state, ground_state_vector,
@@ -28,7 +28,7 @@ from .tasks import (
 
 __all__ = [
     "__version__",
-    "rx", "ry", "partial_swap_unitary", "swap_coefficients",
+    "partial_swap_unitary", "swap_coefficients",
     "KrausPair", "kraus_pair", "damping_channel", "outcome_distribution", "purity",
     "trajectory_step", "ground_state", "ground_state_vector",
     "EmbeddingWeights", "init_weights", "context_window", "compute_angles",

@@ -48,28 +48,27 @@ def ground_state_vector(n_qubits: int) -> np.ndarray:
 
 
 def damping_channel(rho: np.ndarray, gamma: float) -> np.ndarray:
-    """Apply the per-qubit damping channel to every qubit of rho."""
+    """Apply the per-qubit damping channel to every qubit of rho.
+
+    Qubit q maps its row/col-bit blocks to [[r00 + p r11, conj(A) r01],
+    [A r10, |A|^2 r11]]: the transfer r00 += p r11, then a scaling that
+    commutes with every other qubit's transfer.  So all transfers run first,
+    in place on a copy; then row i is scaled by A^popcount(i) and column j
+    by conj(A)^popcount(j).
+    """
     gamma = check_gamma(gamma)
-    rho = np.asarray(rho, dtype=complex)
-    n = n_qubits_of(rho.shape[0])
+    out = np.array(rho, dtype=complex)
+    n = n_qubits_of(out.shape[0])
     a, _ = swap_coefficients(gamma)
     p = damping_probability(gamma)
-    t = rho.reshape((2,) * (2 * n))
     for q in range(n):
-        t = _damp_one_qubit(t, n, q, a, p)
-    return t.reshape(rho.shape)
-
-
-def _damp_one_qubit(t: np.ndarray, n: int, q: int, a: complex, p: float) -> np.ndarray:
-    # block update in the qubit-q row/col bits:
-    # [[r00 + p r11, conj(A) r01], [A r10, (1-p) r11]]
-    v = np.moveaxis(t, (n - 1 - q, 2 * n - 1 - q), (0, 1))
-    out = np.empty_like(v)
-    out[0, 0] = v[0, 0] + p * v[1, 1]
-    out[0, 1] = np.conj(a) * v[0, 1]
-    out[1, 0] = a * v[1, 0]
-    out[1, 1] = (1.0 - p) * v[1, 1]
-    return np.moveaxis(out, (0, 1), (n - 1 - q, 2 * n - 1 - q))
+        hi, lo = 1 << (n - 1 - q), 1 << q
+        t = out.reshape(hi, 2, lo, hi, 2, lo)
+        t[:, 0, :, :, 0] += p * t[:, 1, :, :, 1]
+    scale = a ** np.bitwise_count(np.arange(out.shape[0]))
+    out *= scale[:, None]
+    out *= scale.conj()
+    return out
 
 
 @lru_cache(maxsize=128)

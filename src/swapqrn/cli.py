@@ -27,7 +27,8 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
+from contextlib import contextmanager
 from dataclasses import dataclass, asdict, fields, replace
 from itertools import product
 from pathlib import Path
@@ -273,25 +274,29 @@ def _json_safe(value):
     return value
 
 
-def _execute_point(cfg, point):
-    """Run one grid point; failures become error records, not crashes."""
-    start = time.perf_counter()
+def _point_record(cfg, point):
+    """The point's reservoir config and the record fields every outcome has."""
     rc = replace(cfg.reservoir, n_qubits=point.n_qubits, gamma=point.gamma,
                  n_repeats=point.n_repeats)
     record_cfg = asdict(rc)
     if cfg.task == "esn-baseline":
         record_cfg["n_nodes"] = rc.n_qubits // 2
-    record = {"point_index": point.index, "task": cfg.task,
-              "config": record_cfg, "version": __version__, "seed": rc.seed}
+    return rc, {"point_index": point.index, "task": cfg.task,
+                "config": record_cfg, "version": __version__, "seed": rc.seed}
+
+
+def _execute_point(cfg, point):
+    """Run one grid point; failures become error records, not crashes."""
+    start = time.perf_counter()
+    rc, record = _point_record(cfg, point)
     try:
         rng = (np.random.default_rng([cfg.reservoir.seed, point.index])
                if rc.backend != "exact" else None)
         record["metrics"] = _json_safe(TASK_RUNNERS[cfg.task](cfg, rc, rng))
         record["status"] = "ok"
     except Exception as exc:  # per-point failures recorded, sweep continues
-        record["metrics"] = {}
-        record["status"] = "error"
-        record["error"] = f"{type(exc).__name__}: {exc}"
+        record.update(metrics={}, status="error",
+                      error=f"{type(exc).__name__}: {exc}")
     record["wall_time_s"] = time.perf_counter() - start
     return record
 
@@ -299,6 +304,14 @@ def _execute_point(cfg, point):
 # ---------------------------------------------------------------------------
 # output files
 # ---------------------------------------------------------------------------
+
+@contextmanager
+def _atomic_open(path):
+    """Write to a temp file beside ``path``; rename it over ``path`` once done."""
+    with open(f"{path}.tmp", "w", newline="") as handle:
+        yield handle
+    os.replace(f"{path}.tmp", path)
+
 
 def _fmt(value):
     if value is None or (isinstance(value, float) and not math.isfinite(value)):
@@ -309,7 +322,7 @@ def _fmt(value):
 
 
 def _config_payload(cfg):
-    payload = {
+    return {
         "task": cfg.task,
         "reservoir": asdict(cfg.reservoir),
         "task_spec": _json_safe(asdict(cfg.task_spec)),
@@ -318,7 +331,6 @@ def _config_payload(cfg):
         "sweep": ({k: list(v) for k, v in cfg.sweep.items()}
                   if cfg.sweep else None),
     }
-    return payload
 
 
 def _metric_rows(record):
@@ -341,7 +353,7 @@ def write_results_csv(path, records):
     header = ["point_index", "task", "n_qubits", "n_nodes", "gamma",
               "n_repeats", "c", "n_shots", "backend", "seed",
               "metric", "delay", "value"]
-    with open(path, "w", newline="") as handle:
+    with _atomic_open(path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         for record in records:
@@ -362,7 +374,14 @@ def _write_manifest(outdir, cfg, filenames):
     digest = hashlib.sha256(payload.encode()).hexdigest()
     lines = [f"artifact swapqrn {__version__}", f"config_sha256 {digest}"]
     lines += [f"file {name}" for name in filenames]
-    (Path(outdir) / "MANIFEST").write_text("\n".join(lines) + "\n")
+    with _atomic_open(Path(outdir) / "MANIFEST") as handle:
+        handle.write("\n".join(lines) + "\n")
+
+
+def _write_json(path, payload):
+    with _atomic_open(path) as handle:
+        json.dump(payload, handle, indent=2)
+        handle.write("\n")
 
 
 def write_outputs(cfg, records):
@@ -370,9 +389,7 @@ def write_outputs(cfg, records):
     outdir.mkdir(parents=True, exist_ok=True)
     payload = {"version": __version__, "task": cfg.task,
                "config": _config_payload(cfg), "records": records}
-    with open(outdir / "records.json", "w") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+    _write_json(outdir / "records.json", payload)
     write_results_csv(outdir / "results.csv", records)
     _write_manifest(outdir, cfg, ["records.json", "results.csv"])
     return outdir
@@ -383,10 +400,33 @@ def write_outputs(cfg, records):
 # ---------------------------------------------------------------------------
 
 def _write_fig_csv(path, header, rows):
-    with open(path, "w", newline="") as handle:
+    with _atomic_open(path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+_GRID = ["n_qubits", "n_repeats", "gamma"]
+
+
+def _grid_row(r, *values):
+    c = r["config"]
+    return [c["n_qubits"], c["n_repeats"], *map(_fmt, (c["gamma"], *values))]
+
+
+# (task, file, header, rows of one record and its metrics), in writing order
+_FIGURES = (
+    ("stmc", "fig_stmc_r2_vs_tau.csv", [*_GRID, "tau", "r2"],
+     lambda r, m: [_grid_row(r, tau, m["r2"][tau])
+                   for tau in sorted(m["r2"], key=int, reverse=True)]),
+    ("stmc", "fig_stmc_rmse_vs_gamma.csv",
+     [*_GRID, "mean_rmse_short", "random_guess"],
+     lambda r, m: [_grid_row(r, m["mean_rmse_short"], RANDOM_GUESS_U01)]),
+    ("narma5", "fig_narma_rmse_vs_gamma.csv", [*_GRID, "rmse", "random_guess"],
+     lambda r, m: [_grid_row(r, m["rmse"], m["target_std"])]),
+    ("esn-baseline", "fig_esn_comparison.csv", ["n_nodes", "median", "q1", "q3"],
+     lambda r, m: [[m["n_nodes"], *map(_fmt, (m["median"], m["q1"], m["q3"]))]]),
+)
 
 
 def emit_plotdata(payloads, outdir):
@@ -394,48 +434,14 @@ def emit_plotdata(payloads, outdir):
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     records = [r for p in payloads for r in p["records"] if r["status"] == "ok"]
-    by_task = {t: [r for r in records if r["task"] == t] for t in TASKS}
     written = []
-
-    if by_task["stmc"]:
-        rows = []
-        for r in by_task["stmc"]:
-            c = r["config"]
-            for tau in sorted(r["metrics"]["r2"], key=int, reverse=True):
-                rows.append([c["n_qubits"], c["n_repeats"], _fmt(c["gamma"]),
-                             tau, _fmt(r["metrics"]["r2"][tau])])
-        _write_fig_csv(outdir / "fig_stmc_r2_vs_tau.csv",
-                       ["n_qubits", "n_repeats", "gamma", "tau", "r2"], rows)
-        rows = []
-        for r in by_task["stmc"]:
-            c = r["config"]
-            rows.append([c["n_qubits"], c["n_repeats"], _fmt(c["gamma"]),
-                         _fmt(r["metrics"]["mean_rmse_short"]),
-                         _fmt(RANDOM_GUESS_U01)])
-        _write_fig_csv(outdir / "fig_stmc_rmse_vs_gamma.csv",
-                       ["n_qubits", "n_repeats", "gamma", "mean_rmse_short",
-                        "random_guess"], rows)
-        written += ["fig_stmc_r2_vs_tau.csv", "fig_stmc_rmse_vs_gamma.csv"]
-
-    if by_task["narma5"]:
-        rows = []
-        for r in by_task["narma5"]:
-            c = r["config"]
-            rows.append([c["n_qubits"], c["n_repeats"], _fmt(c["gamma"]),
-                         _fmt(r["metrics"]["rmse"]),
-                         _fmt(r["metrics"]["target_std"])])
-        _write_fig_csv(outdir / "fig_narma_rmse_vs_gamma.csv",
-                       ["n_qubits", "n_repeats", "gamma", "rmse",
-                        "random_guess"], rows)
-        written.append("fig_narma_rmse_vs_gamma.csv")
-
-    if by_task["esn-baseline"]:
-        rows = [[r["metrics"]["n_nodes"], _fmt(r["metrics"]["median"]),
-                 _fmt(r["metrics"]["q1"]), _fmt(r["metrics"]["q3"])]
-                for r in by_task["esn-baseline"]]
-        _write_fig_csv(outdir / "fig_esn_comparison.csv",
-                       ["n_nodes", "median", "q1", "q3"], rows)
-        written.append("fig_esn_comparison.csv")
+    for task, name, header, rows_of in _FIGURES:
+        selected = [r for r in records if r["task"] == task]
+        if selected:
+            _write_fig_csv(outdir / name, header,
+                           [row for r in selected
+                            for row in rows_of(r, r["metrics"])])
+            written.append(name)
     return written
 
 
@@ -464,32 +470,32 @@ def cmd_sweep(cfg, workers):
     outdir = Path(cfg.outdir)
     staging = outdir / "points"
     staging.mkdir(parents=True, exist_ok=True)
+    records = []
 
     def stage(record):
-        name = staging / f"point_{record['point_index']:04d}.json"
-        with open(name, "w") as handle:
-            json.dump(record, handle, indent=2)
-            handle.write("\n")
+        _write_json(staging / f"point_{record['point_index']:04d}.json", record)
+        records.append(record)
 
-    records = []
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_execute_point, cfg, p) for p in points]
+            futures = {pool.submit(_execute_point, cfg, p): p for p in points}
             for future in as_completed(futures):
-                record = future.result()
+                try:
+                    record = future.result()
+                except BrokenExecutor as exc:  # its worker process died
+                    _, record = _point_record(cfg, futures[future])
+                    record.update(metrics={}, status="error",
+                                  error=f"{type(exc).__name__}: {exc}",
+                                  wall_time_s=None)
                 stage(record)
-                records.append(record)
     else:
         for point in points:
-            record = _execute_point(cfg, point)
-            stage(record)
-            records.append(record)
+            stage(_execute_point(cfg, point))
 
     records.sort(key=lambda r: r["point_index"])
     write_outputs(cfg, records)
     n_ok = sum(r["status"] == "ok" for r in records)
-    n_err = len(records) - n_ok
-    print(f"task={cfg.task} sweep: {n_ok} ok, {n_err} failed, "
+    print(f"task={cfg.task} sweep: {n_ok} ok, {len(records) - n_ok} failed, "
           f"{len(records)} points -> {outdir}")
     for record in records:
         if record["status"] != "ok":

@@ -9,11 +9,8 @@ times with the same angles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
-
-from .gates import rx, ry
 
 
 @dataclass(frozen=True)
@@ -75,12 +72,30 @@ def ring_edges(n_mem: int) -> list[tuple[int, int]]:
     return [(j, (j + 1) % n_mem) for j in range(n_mem)]
 
 
-def _rotation_layer(theta: np.ndarray) -> np.ndarray:
-    rots = [rx(t[0]) @ ry(t[1]) @ rx(t[2]) for t in theta]
-    return reduce(np.kron, reversed(rots)) if len(rots) > 1 else rots[0]
+def rotation_stack(theta: np.ndarray) -> np.ndarray:
+    """Per-qubit rotations rx(Th_j1) ry(Th_j2) rx(Th_j3) as an (n_mem, 2, 2) stack."""
+    theta = np.asarray(theta, dtype=float)
+    if not np.isfinite(theta).all():
+        raise ValueError(f"rotation angles must be finite, got {theta}")
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    # gates[j] holds qubit j's factors rx(Th_j1), ry(Th_j2), rx(Th_j3)
+    gates = np.empty(theta.shape + (2, 2), dtype=complex)
+    gates[..., 0, 0] = gates[..., 1, 1] = c
+    gates[:, 0::2, 0, 1] = gates[:, 0::2, 1, 0] = -1j * s[:, 0::2]
+    gates[:, 1, 0, 1] = -s[:, 1]
+    gates[:, 1, 1, 0] = s[:, 1]
+    return gates[:, 0] @ gates[:, 1] @ gates[:, 2]
 
 
-def _crz_ring_diagonal(w_hidden: np.ndarray) -> np.ndarray:
+def kron_layer(rotations: np.ndarray) -> np.ndarray:
+    """Kronecker product of per-qubit gates, qubit 0 as the least significant bit."""
+    out = np.ones((1, 1), dtype=complex)
+    for g in rotations[::-1]:  # out (x) g, one product per entry as in np.kron
+        out = (out[:, None, :, None] * g[:, None, :]).reshape(2 * len(out), -1)
+    return out
+
+
+def crz_ring_diagonal(w_hidden: np.ndarray) -> np.ndarray:
     # every CRZ is diagonal, so the whole entangling layer is one diagonal
     n_mem = len(w_hidden)
     idx = np.arange(1 << n_mem)
@@ -104,7 +119,7 @@ def embedding_unitary(theta: np.ndarray, w_hidden: np.ndarray,
             f"w_hidden shape {w_hidden.shape} != ({theta.shape[0]},)")
     if n_repeats < 1:
         raise ValueError(f"n_repeats must be >= 1, got {n_repeats}")
-    block = _crz_ring_diagonal(w_hidden)[:, None] * _rotation_layer(theta)
+    block = crz_ring_diagonal(w_hidden)[:, None] * kron_layer(rotation_stack(theta))
     if n_repeats == 1:
         return block
     return np.linalg.matrix_power(block, n_repeats)

@@ -1,4 +1,4 @@
-"""Single-qubit rotations and the partial-SWAP coupling coefficients.
+"""Partial-SWAP coupling coefficients and shared argument checks.
 
 Qubit ordering is little-endian throughout the package: qubit 0 is the least
 significant bit of a basis index.
@@ -7,27 +7,6 @@ significant bit of a basis index.
 from __future__ import annotations
 
 import numpy as np
-
-
-def _check_angle(theta: float) -> float:
-    theta = float(theta)
-    if not np.isfinite(theta):
-        raise ValueError(f"rotation angle must be finite, got {theta}")
-    return theta
-
-
-def rx(theta: float) -> np.ndarray:
-    """Rotation exp(-i theta X / 2)."""
-    theta = _check_angle(theta)
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    return np.array([[c, -1j * s], [-1j * s, c]])
-
-
-def ry(theta: float) -> np.ndarray:
-    """Rotation exp(-i theta Y / 2)."""
-    theta = _check_angle(theta)
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    return np.array([[c, -s], [s, c]], dtype=complex)
 
 
 def check_gamma(gamma: float) -> float:

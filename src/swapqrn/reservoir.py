@@ -31,7 +31,8 @@ from .channel import (
     ground_state, damping_channel, outcome_distribution, rehermitize,
     trajectory_step,
 )
-from .embedding import context_window, compute_angles, embedding_unitary
+from .embedding import (context_window, compute_angles, crz_ring_diagonal,
+                        embedding_unitary, kron_layer, rotation_stack)
 
 BACKENDS = ("exact", "sampled", "trajectory")
 
@@ -85,6 +86,25 @@ def _check_weights(weights, cfg):
             f"weights are for context length {weights.c}, config wants {cfg.c}")
 
 
+def _kernel_step(rho, theta, crz, cfg):
+    """One step without forming U: the rotation layer R = R_hi (x) R_lo acts
+    on the rows, then the columns of rho by matmul on reshaped views, and the
+    CRZ ring, whose diagonal is ``crz``, scales rows and columns."""
+    rots = rotation_stack(theta)
+    n_lo = len(rots) // 2  # qubits in the low half of the register
+    r_hi, r_lo = kron_layer(rots[n_lo:]), kron_layer(rots[:n_lo])
+    d_hi, d_lo, dim = len(r_hi), len(r_lo), len(rho)
+    for _ in range(cfg.n_repeats):
+        x = r_lo @ rho.reshape(d_hi, d_lo, dim)
+        x = (r_hi @ x.reshape(d_hi, d_lo * dim)).reshape(dim * d_hi, d_lo)
+        x = r_hi.conj() @ (x @ r_lo.conj().T).reshape(dim, d_hi, d_lo)
+        rho = x.reshape(dim, dim)
+        rho *= crz[:, None]
+        rho *= crz.conj()
+    dist = outcome_distribution(rho, cfg.gamma)
+    return damping_channel(rho, cfg.gamma), dist
+
+
 def step(rho, u_context, weights, cfg):
     """Advance the memory state by one input and return (state, features).
 
@@ -93,10 +113,8 @@ def step(rho, u_context, weights, cfg):
     ready for the next input.
     """
     theta = compute_angles(u_context, weights)
-    u = embedding_unitary(theta, weights.w_hidden, cfg.n_repeats)
-    rho_emb = u @ rho @ u.conj().T
-    dist = outcome_distribution(rho_emb, cfg.gamma)
-    return damping_channel(rho_emb, cfg.gamma), dist
+    crz = crz_ring_diagonal(weights.w_hidden)
+    return _kernel_step(np.asarray(rho), theta, crz, cfg)
 
 
 def run_exact(u, weights, cfg):
@@ -104,9 +122,11 @@ def run_exact(u, weights, cfg):
     _check_weights(weights, cfg)
     u = np.asarray(u, dtype=float)
     rho = ground_state(cfg.n_mem)
+    crz = crz_ring_diagonal(weights.w_hidden)  # once per run
     features = np.empty((len(u), 2 ** cfg.n_mem))
     for t in range(len(u)):
-        rho, features[t] = step(rho, context_window(u, t, cfg.c), weights, cfg)
+        theta = compute_angles(context_window(u, t, cfg.c), weights)
+        rho, features[t] = _kernel_step(rho, theta, crz, cfg)
         rho = rehermitize(rho)
     return features
 

@@ -7,6 +7,7 @@ under test, so agreement between the two is meaningful.
 
 import numpy as np
 
+from swapqrn.embedding import compute_angles, embedding_unitary
 from swapqrn.gates import check_gamma, damping_probability, swap_coefficients
 
 
@@ -117,8 +118,74 @@ def trajectory_step_per_shot(psi: np.ndarray, gamma: float,
 
 
 # ---------------------------------------------------------------------------
+# dense reservoir step: the full-register U rho U^+ and per-qubit damping
+# ---------------------------------------------------------------------------
+
+def damping_moveaxis(rho: np.ndarray, gamma: float) -> np.ndarray:
+    """Per-qubit damping, one qubit at a time, each moved to the front axes."""
+    a, _ = swap_coefficients(gamma)
+    p = damping_probability(gamma)
+    n = rho.shape[0].bit_length() - 1
+    t = np.asarray(rho, dtype=complex).reshape((2,) * (2 * n))
+    for q in range(n):
+        axes = (n - 1 - q, 2 * n - 1 - q)
+        v = np.moveaxis(t, axes, (0, 1))
+        out = np.empty_like(v)
+        out[0, 0] = v[0, 0] + p * v[1, 1]
+        out[0, 1] = np.conj(a) * v[0, 1]
+        out[1, 0] = a * v[1, 0]
+        out[1, 1] = (1.0 - p) * v[1, 1]
+        t = np.moveaxis(out, (0, 1), axes)
+    return t.reshape(rho.shape)
+
+
+def damping_kraus_sum(rho: np.ndarray, gamma: float) -> np.ndarray:
+    """sum_b (kron_j K_{b_j}) rho (kron_j K_{b_j})^+ over all 2^n Kraus strings."""
+    a, b = swap_coefficients(gamma)
+    kraus = (np.array([[1.0, 0.0], [0.0, a]]), np.array([[0.0, b], [0.0, 0.0]]))
+    n = rho.shape[0].bit_length() - 1
+    out = np.zeros_like(rho, dtype=complex)
+    for bits in range(1 << n):
+        k = np.ones((1, 1))
+        for j in reversed(range(n)):
+            k = np.kron(k, kraus[(bits >> j) & 1])
+        out += k @ rho @ k.conj().T
+    return out
+
+
+def dense_step(rho, u_context, weights, cfg):
+    """One reservoir step with the dense embedding unitary: (state, features)."""
+    theta = compute_angles(u_context, weights)
+    u = embedding_unitary(theta, weights.w_hidden, cfg.n_repeats)
+    rho_emb = u @ rho @ u.conj().T
+    p = damping_probability(cfg.gamma)
+    diag = np.clip(np.diagonal(rho_emb).real, 0.0, None)
+    dist = np.zeros(len(diag))
+    for b in range(len(diag)):
+        for m in range(len(diag)):
+            weight = 1.0
+            for j in range(len(diag).bit_length() - 1):
+                bj, mj = (b >> j) & 1, (m >> j) & 1
+                weight *= (1.0, 1.0 - p, 0.0, p)[2 * bj + mj]
+            dist[b] += weight * diag[m]
+    return damping_moveaxis(rho_emb, cfg.gamma), dist
+
+
+# ---------------------------------------------------------------------------
 # gates and state checks
 # ---------------------------------------------------------------------------
+
+def rx(theta: float) -> np.ndarray:
+    """Rotation exp(-i theta X / 2)."""
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    return np.array([[c, -1j * s], [-1j * s, c]])
+
+
+def ry(theta: float) -> np.ndarray:
+    """Rotation exp(-i theta Y / 2)."""
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    return np.array([[c, -s], [s, c]], dtype=complex)
+
 
 def crz(theta: float) -> np.ndarray:
     """Controlled-Rz: diag(1, 1, e^{-i theta/2}, e^{+i theta/2}), control on the high bit."""

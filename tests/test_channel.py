@@ -98,6 +98,21 @@ class TestDampingChannel:
                 _, mem_oracle = oracles.joint_measure_and_reset(rho, g)
                 assert_allclose(damping_channel(rho, g), mem_oracle, atol=1e-10)
 
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 4), gamma=st.floats(0.0, 1.0, exclude_min=True),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_equals_explicit_kraus_sum(self, n, gamma, seed):
+        """The transfer-then-scale form equals the sum over all Kraus strings."""
+        rho = oracles.random_density(np.random.default_rng(seed), 2 ** n)
+        assert_allclose(damping_channel(rho, gamma),
+                        oracles.damping_kraus_sum(rho, gamma), rtol=0, atol=1e-14)
+
+    def test_input_left_unchanged(self):
+        rho = oracles.random_density(np.random.default_rng(4), 8)
+        before = rho.copy()
+        damping_channel(rho, 0.6)
+        assert np.array_equal(rho, before)
+
     def test_fixed_point_is_ground_state(self):
         rho = oracles.random_density(np.random.default_rng(3), 4)
         for _ in range(200):

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -241,6 +242,40 @@ class TestSweepVerb:
         assert "boom" in records[1]["error"]
         csv_text = (out / "results.csv").read_text()
         assert "1,stmc" not in csv_text  # errored point emits no metric rows
+
+
+    def test_crashed_worker_recorded_and_outputs_written(self, tmp_path, monkeypatch):
+        """A worker that dies mid-point turns every lost point into an error
+        record; the points that finished are still merged and written."""
+        real = cli.TASK_RUNNERS["stmc"]
+
+        def dies(cfg, rc, rng):
+            if rc.gamma == 1.0:
+                os._exit(1)
+            return real(cfg, rc, rng)
+
+        # the pool forks, so its workers inherit the patched runner
+        monkeypatch.setitem(cli.TASK_RUNNERS, "stmc", dies)
+        path = write_config(
+            tmp_path, TINY_STMC + "\n[sweep]\ngamma = 0.5, 1.0\nn_qubits = 2\nn_repeats = 1\n")
+        out = tmp_path / "out"
+        code = cli.main(["sweep", "--config", path, "--outdir", str(out),
+                         "--workers", "2"])
+        records = json.loads((out / "records.json").read_text())["records"]
+        assert [r["point_index"] for r in records] == [0, 1]
+        assert records[1]["status"] == "error"
+        for rec in records:
+            if rec["status"] == "error":
+                assert rec["error"].startswith("BrokenProcessPool: ")
+                assert rec["config"]["gamma"] in (0.5, 1.0)
+        n_ok = sum(r["status"] == "ok" for r in records)
+        assert code == (0 if n_ok else 1)
+        rows = (out / "results.csv").read_text().splitlines()[1:]
+        assert {row.split(",")[0] for row in rows} == {
+            str(r["point_index"]) for r in records if r["status"] == "ok"}
+        assert (out / "MANIFEST").exists()
+        assert sorted(p.name for p in (out / "points").iterdir()) == [
+            "point_0000.json", "point_0001.json"]
 
 
 class TestPlotdata:

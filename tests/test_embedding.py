@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from swapqrn.gates import rx, ry
 from swapqrn.embedding import (
     EmbeddingWeights, init_weights, context_window, compute_angles,
-    ring_edges, embedding_unitary,
+    ring_edges, embedding_unitary, rotation_stack, kron_layer,
+    crz_ring_diagonal,
 )
 
 import oracles
+from oracles import rx, ry
 
 
 class TestInitWeights:
@@ -159,6 +160,24 @@ class TestEmbeddingUnitary:
             for j, (ctrl, tgt) in enumerate(ring_edges(n_mem)):
                 dense = oracles.embed_pair(oracles.crz(wh[j]), n_mem, ctrl, tgt) @ dense
             assert_allclose(embedding_unitary(theta, wh, 1), dense, atol=1e-13)
+
+    def test_rotation_stack_bit_identical_to_gate_products(self):
+        """The vectorised stack and the dense unitary built from it repeat
+        the per-gate products rx @ ry @ rx and their kron chain bit for bit."""
+        rng = np.random.default_rng(37)
+        for _ in range(200):
+            n_mem = int(rng.integers(1, 7))
+            theta = rng.uniform(-4 * np.pi, 4 * np.pi, (n_mem, 3))
+            wh = rng.uniform(0, np.pi, n_mem)
+            rots = [rx(t[0]) @ ry(t[1]) @ rx(t[2]) for t in theta]
+            stack = rotation_stack(theta)
+            assert stack.tobytes() == np.array(rots).tobytes()
+            dense = rots[-1]
+            for r in reversed(rots[:-1]):
+                dense = np.kron(dense, r)
+            assert np.array_equal(kron_layer(stack), dense)
+            assert np.array_equal(embedding_unitary(theta, wh, 1),
+                                  crz_ring_diagonal(wh)[:, None] * dense)
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):

@@ -2,11 +2,20 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from swapqrn.gates import rx, ry, swap_coefficients, partial_swap_unitary
+from swapqrn.embedding import rotation_stack
+from swapqrn.gates import swap_coefficients, partial_swap_unitary
 
 from oracles import crz, is_unitary
 
 GAMMA_GRID = np.round(np.arange(0.05, 1.0001, 0.05), 10)
+
+
+def rx(theta):
+    return rotation_stack(np.array([[theta, 0.0, 0.0]]))[0]
+
+
+def ry(theta):
+    return rotation_stack(np.array([[0.0, theta, 0.0]]))[0]
 
 
 class TestSingleQubitGates:

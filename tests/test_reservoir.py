@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from swapqrn.channel import ground_state, outcome_distribution
+from swapqrn.channel import ground_state, outcome_distribution, rehermitize
 from swapqrn.embedding import (
     EmbeddingWeights, init_weights, context_window, compute_angles,
     embedding_unitary,
@@ -73,6 +73,32 @@ class TestStep:
         rho1 = u @ rho0 @ u.conj().T
         _, dist = step(rho0, np.array([0.3]), w, cfg)
         assert_allclose(dist, outcome_distribution(rho1, 0.4), atol=1e-13)
+
+
+class TestFactoredKernel:
+    """The factored kernel against the dense U rho U^+ step it replaced."""
+
+    @pytest.mark.parametrize("c", [1, 3])
+    @pytest.mark.parametrize("n_repeats", [1, 2, 3])
+    @pytest.mark.parametrize("n_mem", [1, 2, 3, 4, 5])
+    def test_matches_dense_step(self, n_mem, n_repeats, c):
+        cfg = ReservoirConfig(n_qubits=2 * n_mem, gamma=0.4, n_repeats=n_repeats,
+                              c=c, seed=n_mem)
+        w = init_weights(cfg.seed, c=c, n_mem=n_mem)
+        rng = np.random.default_rng(n_mem + 10 * n_repeats + 100 * c)
+        u = rng.random(12)
+        rows = run_exact(u, w, cfg)
+        rho = ground_state(n_mem)
+        for t in range(len(u)):
+            rho, dist = oracles.dense_step(rho, context_window(u, t, c), w, cfg)
+            rho = rehermitize(rho)
+            assert np.max(np.abs(rows[t] - dist)) <= 1e-12
+        rho0 = oracles.random_density(rng, 2 ** n_mem)
+        x = rng.random(c)
+        state, dist = step(rho0, x, w, cfg)
+        ref_state, ref_dist = oracles.dense_step(rho0, x, w, cfg)
+        assert np.max(np.abs(state - ref_state)) <= 1e-12
+        assert np.max(np.abs(dist - ref_dist)) <= 1e-12
 
 
 class TestRunExactAgainstJointRegister:
