@@ -466,6 +466,11 @@ def cmd_run(cfg):
 def cmd_sweep(cfg, workers):
     if workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {workers}")
+    cpus = os.cpu_count() or 1
+    if workers > cpus:
+        print(f"note: --workers {workers} capped at os.cpu_count() = {cpus}",
+              file=sys.stderr)
+        workers = cpus
     points = sweep_points(cfg)
     outdir = Path(cfg.outdir)
     staging = outdir / "points"

@@ -145,16 +145,6 @@ def run_sampled(u, weights, cfg, rng):
     return counts / cfg.n_shots
 
 
-def _embedding_series(u, weights, cfg):
-    """All per-step embedding unitaries for an input sequence."""
-    return [
-        embedding_unitary(
-            compute_angles(context_window(u, t, cfg.c), weights),
-            weights.w_hidden, cfg.n_repeats)
-        for t in range(len(u))
-    ]
-
-
 def run_trajectories(u, weights, cfg, rng, chunk=4096):
     """Feature matrix of bitstring frequencies over ``cfg.n_shots`` pure-state
     trajectories.
@@ -166,21 +156,25 @@ def run_trajectories(u, weights, cfg, rng, chunk=4096):
     _check_weights(weights, cfg)
     if cfg.n_shots is None:
         raise ValueError("run_trajectories requires cfg.n_shots")
+    if not isinstance(chunk, (int, np.integer)) or chunk < 1:
+        raise ValueError(f"chunk must be an integer >= 1, got {chunk!r}")
     u = np.asarray(u, dtype=float)
     n_steps, n_mem = len(u), cfg.n_mem
     dim = 2 ** n_mem
-    unitaries = _embedding_series(u, weights, cfg)
 
     counts = np.zeros((n_steps, dim), dtype=np.int64)
     done = 0
     while done < cfg.n_shots:
         m = min(chunk, cfg.n_shots - done)
-        uniforms = np.stack([child.random((n_steps, n_mem))
-                             for child in rng.spawn(m)])
+        uniforms = np.empty((m, n_steps, n_mem))
+        for k, child in enumerate(rng.spawn(m)):
+            child.random(out=uniforms[k])
         states = np.zeros((m, dim), dtype=complex)
         states[:, 0] = 1.0
-        for t in range(n_steps):
-            states, bits = trajectory_step(states @ unitaries[t].T, cfg.gamma,
+        for t in range(n_steps):  # one unitary at a time, never all T
+            theta = compute_angles(context_window(u, t, cfg.c), weights)
+            unitary = embedding_unitary(theta, weights.w_hidden, cfg.n_repeats)
+            states, bits = trajectory_step(states @ unitary.T, cfg.gamma,
                                            uniforms[:, t])
             counts[t] += np.bincount(bits, minlength=dim)
         done += m

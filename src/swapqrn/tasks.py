@@ -197,17 +197,11 @@ def score_narma_features(features, z, spec):
     rows = np.asarray(features)[5:]
     if len(rows) != len(y_aligned):
         raise ValueError("features and input series disagree in length")
-    if len(rows) < spec.n_train + 1:
-        raise ValueError(
-            f"only {len(rows)} aligned samples for n_train={spec.n_train}")
-    model = ridge_fit(rows[spec.n_washout:spec.n_train],
-                      y_aligned[spec.n_washout:spec.n_train], spec.alpha)
-    x_test = rows[spec.n_train:spec.n_train + spec.n_test]
-    y_test = y_aligned[spec.n_train:spec.n_train + spec.n_test]
-    pred = predict(model, x_test)
+    w = spec.n_washout
+    metrics, y_test = _fit_and_score(rows[w:], y_aligned[w:], spec.n_train - w,
+                                     spec.n_test, spec.alpha)
     return NarmaResult(
-        metrics=Metrics(r2=r_squared(pred, y_test), rmse=rmse(pred, y_test)),
-        target_std=float(np.std(y_test)),
+        metrics=metrics, target_std=float(np.std(y_test)),
         n_train_used=spec.n_train - spec.n_washout,
         n_test_used=len(y_test))
 

@@ -117,6 +117,34 @@ def trajectory_step_per_shot(psi: np.ndarray, gamma: float,
     return psi, bits
 
 
+def trajectory_step_amplitudes(states: np.ndarray, gamma: float,
+                               uniforms: np.ndarray):
+    """The batched collapse on the amplitudes themselves: each qubit, in
+    ascending order, is taken with probability p * (excited norm) of the
+    renormalised state, which is then collapsed or damped and renormalised.
+    ``uniforms[:, q]`` is qubit q's draw; returns (states, outcome ints)."""
+    gamma = check_gamma(gamma)
+    states = np.asarray(states, dtype=complex)
+    m, dim = states.shape
+    n = dim.bit_length() - 1
+    a, b = swap_coefficients(gamma)
+    p = damping_probability(gamma)
+    idx = np.arange(dim)
+    bits = np.zeros(m, dtype=np.int64)
+    for q in range(n):
+        mask1 = ((idx >> q) & 1).astype(bool)
+        excited = states[:, mask1]
+        take = uniforms[:, q] < p * np.sum(np.abs(excited) ** 2, axis=1)
+        collapsed = np.zeros_like(states)
+        collapsed[:, ~mask1] = b * excited
+        kept = states.copy()
+        kept[:, mask1] = a * excited
+        states = np.where(take[:, None], collapsed, kept)
+        states /= np.sqrt(np.sum(np.abs(states) ** 2, axis=1))[:, None]
+        bits |= take.astype(np.int64) << q
+    return states, bits
+
+
 # ---------------------------------------------------------------------------
 # dense reservoir step: the full-register U rho U^+ and per-qubit damping
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from swapqrn.channel import (
@@ -214,9 +214,10 @@ class TestTrajectoryStep:
         assert np.all(np.abs(freq - expected) <= 3 * sigma + 1e-12)
 
     def test_state_stays_normalized(self):
+        """The norm is reset every step, so it does not drift over 1,000."""
         rng = np.random.default_rng(29)
         states = np.tile(ground_state_vector(3), (16, 1))
-        for _ in range(50):
+        for _ in range(1000):
             u = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
             q, _ = np.linalg.qr(u)
             states, _ = trajectory_step(states @ q.T, 0.4, rng.random((16, 3)))
@@ -228,9 +229,10 @@ class TestTrajectoryStep:
             trajectory_step(np.eye(4, dtype=complex), 0.5, np.zeros((4, 3)))
 
     @settings(max_examples=60, deadline=None)
-    @given(n=st.integers(1, 4), m=st.integers(1, 9),
+    @given(n=st.integers(1, 8), m=st.integers(1, 9),
            gamma=st.floats(0.0, 1.0, exclude_min=True),
            seed=st.integers(0, 2 ** 32 - 1))
+    @example(n=8, m=80, gamma=0.55, seed=1)  # past numpy's temporary elision size
     def test_batch_rows_equal_single_row_calls(self, n, m, gamma, seed):
         """A batch of m states collapses exactly as m batches of one."""
         rng = np.random.default_rng(seed)
@@ -245,6 +247,26 @@ class TestTrajectoryStep:
             assert bit[0] == bits[i]
         norms = np.sum(np.abs(out) ** 2, axis=1)
         assert np.max(np.abs(norms - 1.0)) <= 1e-12
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 8), m=st.integers(1, 9),
+           gamma=st.floats(0.0, 1.0, exclude_min=True),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_amplitude_collapse(self, n, m, gamma, seed):
+        """Sampling from |psi|^2 draws the outcomes of the qubit-by-qubit
+        collapse on the amplitudes, and the same states, from the same
+        uniforms; the input is left unchanged."""
+        rng = np.random.default_rng(seed)
+        states = (rng.standard_normal((m, 2 ** n))
+                  + 1j * rng.standard_normal((m, 2 ** n)))
+        states /= np.sqrt(np.sum(np.abs(states) ** 2, axis=1))[:, None]
+        uniforms = rng.random((m, n))
+        before = states.copy()
+        out, bits = trajectory_step(states, gamma, uniforms)
+        ref, ref_bits = oracles.trajectory_step_amplitudes(states, gamma, uniforms)
+        assert np.array_equal(bits, ref_bits)
+        assert np.max(np.abs(out - ref)) <= 1e-12
+        assert np.array_equal(states, before)
 
 
 class TestValidation:

@@ -199,7 +199,8 @@ class TestSweepVerb:
         payload = json.loads((out / "records.json").read_text())
         assert [r["point_index"] for r in payload["records"]] == [0, 1]
 
-    def test_worker_pool_matches_serial(self, tmp_path):
+    def test_worker_pool_matches_serial(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # keep the pool path
         path = write_config(
             tmp_path, TINY_STMC + "\n[sweep]\ngamma = 0.5, 1.0\nn_qubits = 2, 4\nn_repeats = 1\n")
         serial = tmp_path / "serial"
@@ -223,6 +224,25 @@ class TestSweepVerb:
         assert code == 2
         assert capsys.readouterr().err.startswith("config error: ")
         assert not out.exists()
+
+    def test_workers_capped_at_cpu_count(self, tmp_path, capsys, monkeypatch):
+        """--workers above os.cpu_count() runs with that many, noted once on
+        stderr; with one CPU that is the serial path, so no process starts."""
+        path = write_config(
+            tmp_path, TINY_STMC + "\n[sweep]\ngamma = 0.5, 1.0\nn_qubits = 2\nn_repeats = 1\n")
+        serial = tmp_path / "serial"
+        assert cli.main(["sweep", "--config", path, "--outdir", str(serial)]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", None)  # must not be used
+        capped = tmp_path / "capped"
+        assert cli.main(["sweep", "--config", path, "--outdir", str(capped),
+                         "--workers", "4"]) == 0
+        notes = [line for line in capsys.readouterr().err.splitlines()
+                 if "capped" in line]
+        assert notes == ["note: --workers 4 capped at os.cpu_count() = 1"]
+        for fname in ("results.csv", "MANIFEST"):
+            assert (serial / fname).read_bytes() == (capped / fname).read_bytes()
 
     def test_point_failure_recorded_and_sweep_continues(self, tmp_path, monkeypatch):
         real = cli.TASK_RUNNERS["stmc"]
@@ -254,8 +274,10 @@ class TestSweepVerb:
                 os._exit(1)
             return real(cfg, rc, rng)
 
-        # the pool forks, so its workers inherit the patched runner
+        # the pool forks, so its workers inherit the patched runner; a
+        # 2-worker pool even on one CPU, so the runner never exits pytest
         monkeypatch.setitem(cli.TASK_RUNNERS, "stmc", dies)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         path = write_config(
             tmp_path, TINY_STMC + "\n[sweep]\ngamma = 0.5, 1.0\nn_qubits = 2\nn_repeats = 1\n")
         out = tmp_path / "out"

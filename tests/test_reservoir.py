@@ -271,6 +271,18 @@ class TestRunTrajectories:
         b = run_trajectories(u, w, cfg, np.random.default_rng(5), chunk=50)
         assert_allclose(a, b, rtol=0, atol=0)
 
+    @pytest.mark.parametrize("chunk", [0, -3, 2.5, "8"])
+    def test_rejects_bad_chunk(self, chunk):
+        """A chunk that is not an integer >= 1 is named before any shot's
+        generator is spawned."""
+        w = init_weights(2, c=1, n_mem=1)
+        cfg = ReservoirConfig(n_qubits=2, gamma=0.7, backend="trajectory",
+                              n_shots=5)
+        rng = np.random.default_rng(5)
+        with pytest.raises(ValueError, match="chunk"):
+            run_trajectories(np.zeros(4), w, cfg, rng, chunk=chunk)
+        assert rng.bit_generator.seed_seq.n_children_spawned == 0
+
 
 class TestFeatureSerialization:
 
