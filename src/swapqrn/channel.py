@@ -4,6 +4,13 @@ Coupling each memory qubit to a fresh |0> readout qubit with a partial SWAP,
 measuring the readout in Z and discarding it is, on the memory register alone,
 a tensor product of single-qubit amplitude-damping channels with
 p = sin^2(pi gamma / 2). The joint register is never materialized.
+
+The channel splits into an in-place transfer (:func:`damping_transfer`) and
+the scaling S = (x)_q diag(1, A) on rows and S^+ on columns
+(:func:`damping_scale`).  S is a product of one-qubit operators, so the exact
+reservoir kernel folds it into the next step's rotation gates and runs only
+the transfer on the state it owns; :func:`damping_channel` applies both to a
+copy.
 """
 
 from __future__ import annotations
@@ -41,10 +48,25 @@ def ground_state(n_qubits: int) -> np.ndarray:
     return rho
 
 
-def ground_state_vector(n_qubits: int) -> np.ndarray:
-    psi = np.zeros(1 << n_qubits, dtype=complex)
-    psi[0] = 1.0
-    return psi
+def damping_transfer(rho: np.ndarray, p: float) -> None:
+    """Add p rho[..1.., ..1..] into rho[..0.., ..0..] for each qubit, in place.
+
+    These are the transfer halves of every qubit's damping; they commute with
+    every qubit's scaling, so all of them may run before any scaling.
+    """
+    n = n_qubits_of(rho.shape[0])
+    for q in range(n):
+        hi, lo = 1 << (n - 1 - q), 1 << q
+        t = rho.reshape(hi, 2, lo, hi, 2, lo)
+        t[:, 0, :, :, 0] += p * t[:, 1, :, :, 1]
+
+
+def damping_scale(rho: np.ndarray, a: complex) -> None:
+    """S rho S^+ with S = (x)_q diag(1, A), in place: row i is scaled by
+    A^popcount(i) and column j by conj(A)^popcount(j)."""
+    scale = a ** np.bitwise_count(np.arange(rho.shape[0]))
+    rho *= scale[:, None]
+    rho *= scale.conj()
 
 
 def damping_channel(rho: np.ndarray, gamma: float) -> np.ndarray:
@@ -52,22 +74,15 @@ def damping_channel(rho: np.ndarray, gamma: float) -> np.ndarray:
 
     Qubit q maps its row/col-bit blocks to [[r00 + p r11, conj(A) r01],
     [A r10, |A|^2 r11]]: the transfer r00 += p r11, then a scaling that
-    commutes with every other qubit's transfer.  So all transfers run first,
-    in place on a copy; then row i is scaled by A^popcount(i) and column j
-    by conj(A)^popcount(j).
+    commutes with every other qubit's transfer.  On a copy of rho, which is
+    left untouched, :func:`damping_transfer` runs every qubit's transfer and
+    :func:`damping_scale` then applies all the scalings at once.
     """
     gamma = check_gamma(gamma)
     out = np.array(rho, dtype=complex)
-    n = n_qubits_of(out.shape[0])
     a, _ = swap_coefficients(gamma)
-    p = damping_probability(gamma)
-    for q in range(n):
-        hi, lo = 1 << (n - 1 - q), 1 << q
-        t = out.reshape(hi, 2, lo, hi, 2, lo)
-        t[:, 0, :, :, 0] += p * t[:, 1, :, :, 1]
-    scale = a ** np.bitwise_count(np.arange(out.shape[0]))
-    out *= scale[:, None]
-    out *= scale.conj()
+    damping_transfer(out, damping_probability(gamma))
+    damping_scale(out, a)
     return out
 
 
@@ -75,7 +90,7 @@ def damping_channel(rho: np.ndarray, gamma: float) -> np.ndarray:
 def _povm_diagonal_matrix(gamma: float, n: int) -> np.ndarray:
     # outcome POVM elements are diagonal: E_0 = diag(1, 1-p), E_1 = diag(0, p)
     # per qubit, so p(b) needs only diag(rho); w[b_j, m_j] collects the factors
-    p = kraus_pair(gamma).p
+    p = damping_probability(gamma)
     w = np.array([[1.0, 1.0 - p], [0.0, p]])
     m = w
     for _ in range(n - 1):
@@ -147,7 +162,11 @@ def trajectory_step(states: np.ndarray, gamma: float, uniforms: np.ndarray):
 
 
 def rehermitize(rho: np.ndarray, trace_tol: float = 1e-12) -> np.ndarray:
-    """(rho + rho^+)/2, rescaled to unit trace when it has drifted."""
+    """(rho + rho^+)/2, rescaled to unit trace when it has drifted.
+
+    No path of the package repairs its state any more (``run_exact`` checks
+    it instead); this stays for the traced replay in ``perfbench/child.py``.
+    """
     rho = np.asarray(rho, dtype=complex)
     rho = 0.5 * (rho + rho.conj().T)
     tr = np.trace(rho).real

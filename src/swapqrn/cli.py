@@ -35,9 +35,10 @@ from pathlib import Path
 from typing import get_args, get_origin
 
 import numpy as np
+import scipy
 
 from . import __version__
-from .reservoir import BACKENDS, ReservoirConfig
+from .reservoir import BACKENDS, ReservoirConfig, check_memory
 from .tasks import (
     StmcSpec, NarmaSpec, EsnConfig, run_stmc, run_narma, run_esn_narma,
 )
@@ -140,12 +141,20 @@ def _section_values(parser, section, schema):
     return values
 
 
-def _validate_grids(sweep, reservoir):
-    """Each grid value must make a valid config with the base reservoir."""
+def _check_fits(task, reservoir, task_spec):
+    """Refuse a reservoir whose run cannot fit in memory; the ESN baseline
+    builds no quantum state."""
+    if task != "esn-baseline":
+        check_memory(reservoir, task_spec.n_total)
+
+
+def _validate_grids(task, sweep, reservoir, task_spec):
+    """Each grid value must make a valid config with the base reservoir, and
+    one that fits in memory."""
     for axis, values in sweep.items():
         for value in values:
             try:
-                replace(reservoir, **{axis: value})
+                _check_fits(task, replace(reservoir, **{axis: value}), task_spec)
             except ValueError as exc:
                 raise ConfigError(f"sweep.{axis}: {exc}") from exc
 
@@ -196,10 +205,14 @@ def parse_config(task=None, config_path=None, flag_overrides=None):
                if task == "esn-baseline" else None)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config error in [task]: {exc}") from exc
+    try:
+        _check_fits(task, reservoir, task_spec)
+    except ValueError as exc:
+        raise ConfigError(f"config error in [reservoir]: {exc}") from exc
 
     sweep = sweep_values or None
     if sweep:
-        _validate_grids(sweep, reservoir)
+        _validate_grids(task, sweep, reservoir, task_spec)
 
     outdir = (flags.get("outdir") or experiment.get("outdir")
               or os.path.join("results", task))
@@ -384,11 +397,26 @@ def _write_json(path, payload):
         handle.write("\n")
 
 
+def _environment():
+    """Library versions, BLAS build and thread settings of this process.
+
+    They describe the host, not the result, so only ``records.json`` carries
+    them, never the files that must rerun byte-identical.
+    """
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "scipy": scipy.__version__,
+            "blas": {"name": blas["name"], "version": blas["version"]},
+            "threads": {k: v for k, v in sorted(os.environ.items())
+                        if k.endswith("_NUM_THREADS")},
+            "cpu_count": os.cpu_count()}
+
+
 def write_outputs(cfg, records):
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     payload = {"version": __version__, "task": cfg.task,
-               "config": _config_payload(cfg), "records": records}
+               "config": _config_payload(cfg), "environment": _environment(),
+               "records": records}
     _write_json(outdir / "records.json", payload)
     write_results_csv(outdir / "results.csv", records)
     _write_manifest(outdir, cfg, ["records.json", "results.csv"])

@@ -22,19 +22,22 @@ Three backends produce the feature matrix:
 
 import csv
 import json
+import os
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .gates import check_gamma
+from .gates import check_gamma, damping_probability, swap_coefficients
 from .channel import (
-    ground_state, damping_channel, outcome_distribution, rehermitize,
+    ground_state, damping_scale, damping_transfer, outcome_distribution,
     trajectory_step,
 )
 from .embedding import (context_window, compute_angles, crz_ring_diagonal,
                         embedding_unitary, kron_layer, rotation_stack)
 
 BACKENDS = ("exact", "sampled", "trajectory")
+CHUNK = 4096  # default shots per trajectory batch
+HEALTH_TOL = 1e-10  # largest trace drift or Hermiticity residual accepted
 
 
 @dataclass(frozen=True)
@@ -86,15 +89,51 @@ def _check_weights(weights, cfg):
             f"weights are for context length {weights.c}, config wants {cfg.c}")
 
 
-def _kernel_step(rho, theta, crz, cfg):
-    """One step without forming U: the rotation layer R = R_hi (x) R_lo acts
-    on the rows, then the columns of rho by matmul on reshaped views, and the
-    CRZ ring, whose diagonal is ``crz``, scales rows and columns."""
+def check_memory(cfg, n_steps, chunk=CHUNK):
+    """Bytes a run of ``n_steps`` inputs needs, estimated before anything is
+    allocated; raises ``ValueError`` when that exceeds physical memory.
+
+    The exact and sampled backends hold rho and two matmul temporaries of
+    16 * 4**n_mem B each, plus the feature matrix.  The trajectory backend
+    holds a ``(chunk, 2**n_mem)`` state batch, the ``(2**n_mem, 2**n_mem)``
+    collapse tables (complex coefficients, int64 gather indices), the
+    ``(chunk, T, n_mem)`` uniform block and the count matrix.
+    """
+    dim = 2 ** cfg.n_mem
+    if cfg.backend == "trajectory":
+        shots = min(chunk, cfg.n_shots)
+        need = (16 * shots * dim + 24 * dim * dim
+                + 8 * shots * n_steps * cfg.n_mem + 8 * n_steps * dim)
+    else:
+        need = 3 * 16 * dim * dim + 8 * n_steps * dim
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ValueError(
+            f"n_qubits={cfg.n_qubits} with the {cfg.backend} backend needs "
+            f"about {need / 2 ** 30:.3g} GiB for {n_steps} steps, more than "
+            f"the {have / 2 ** 30:.3g} GiB of physical memory")
+    return need
+
+
+def _kernel_step(rho, theta, crz, cfg, fold):
+    """One step without forming U, on a rho the caller hands over; returns
+    (T(rho_emb), readout row of rho_emb), where T is the damping transfer.
+
+    The rotation layer R = R_hi (x) R_lo acts on the rows, then the columns of
+    rho by matmul on reshaped views, and the CRZ ring, whose diagonal is
+    ``crz``, scales rows and columns.  ``fold`` is the damping factor A whose
+    scaling S = (x)_q diag(1, A) the previous step left out of rho: the first
+    repeat applies R S, which is R with column 1 of every 2x2 gate times A.
+    """
     rots = rotation_stack(theta)
     n_lo = len(rots) // 2  # qubits in the low half of the register
-    r_hi, r_lo = kron_layer(rots[n_lo:]), kron_layer(rots[:n_lo])
-    d_hi, d_lo, dim = len(r_hi), len(r_lo), len(rho)
-    for _ in range(cfg.n_repeats):
+    dim = len(rho)
+    gates = rots * [1.0, fold]
+    for k in range(cfg.n_repeats):
+        if k < 2:  # repeat 0 applies R S, every later repeat the same R
+            r_hi, r_lo = kron_layer(gates[n_lo:]), kron_layer(gates[:n_lo])
+            d_hi, d_lo = len(r_hi), len(r_lo)
+            gates = rots
         x = r_lo @ rho.reshape(d_hi, d_lo, dim)
         x = (r_hi @ x.reshape(d_hi, d_lo * dim)).reshape(dim * d_hi, d_lo)
         x = r_hi.conj() @ (x @ r_lo.conj().T).reshape(dim, d_hi, d_lo)
@@ -102,7 +141,8 @@ def _kernel_step(rho, theta, crz, cfg):
         rho *= crz[:, None]
         rho *= crz.conj()
     dist = outcome_distribution(rho, cfg.gamma)
-    return damping_channel(rho, cfg.gamma), dist
+    damping_transfer(rho, damping_probability(cfg.gamma))
+    return rho, dist
 
 
 def step(rho, u_context, weights, cfg):
@@ -114,20 +154,42 @@ def step(rho, u_context, weights, cfg):
     """
     theta = compute_angles(u_context, weights)
     crz = crz_ring_diagonal(weights.w_hidden)
-    return _kernel_step(np.asarray(rho), theta, crz, cfg)
+    state, dist = _kernel_step(np.asarray(rho), theta, crz, cfg, 1.0)
+    damping_scale(state, swap_coefficients(cfg.gamma)[0])
+    return state, dist
+
+
+def _check_health(name, value, t):
+    if not value <= HEALTH_TOL:
+        raise FloatingPointError(
+            f"{name} {value:.3e} at step {t} exceeds {HEALTH_TOL:g}")
 
 
 def run_exact(u, weights, cfg):
-    """Feature matrix (T, 2**n_mem) of exact readout distributions."""
+    """Feature matrix (T, 2**n_mem) of exact readout distributions.
+
+    The held state is the transferred rho, with each step's damping scaling
+    folded into the next step's rotations.  It is checked, not repaired: the
+    trace drift |sum of row t - 1| every step (the POVM columns sum to 1) and
+    the Hermiticity residual max|rho - rho^+| of the final held state (the
+    channel is trace-norm contractive, so the anti-Hermitian rounding part
+    cannot grow between checks).  Either past ``HEALTH_TOL`` raises
+    ``FloatingPointError``.
+    """
     _check_weights(weights, cfg)
     u = np.asarray(u, dtype=float)
-    rho = ground_state(cfg.n_mem)
+    check_memory(cfg, len(u))
+    a, _ = swap_coefficients(cfg.gamma)
+    rho = ground_state(cfg.n_mem)  # S |0><0| S^+ = |0><0|: folding A is exact
     crz = crz_ring_diagonal(weights.w_hidden)  # once per run
     features = np.empty((len(u), 2 ** cfg.n_mem))
     for t in range(len(u)):
         theta = compute_angles(context_window(u, t, cfg.c), weights)
-        rho, features[t] = _kernel_step(rho, theta, crz, cfg)
-        rho = rehermitize(rho)
+        rho, features[t] = _kernel_step(rho, theta, crz, cfg, a)
+        _check_health("trace drift", abs(features[t].sum() - 1.0), t)
+    if len(u):
+        _check_health("Hermiticity residual",
+                      np.max(np.abs(rho - rho.conj().T)), len(u) - 1)
     return features
 
 
@@ -145,7 +207,7 @@ def run_sampled(u, weights, cfg, rng):
     return counts / cfg.n_shots
 
 
-def run_trajectories(u, weights, cfg, rng, chunk=4096):
+def run_trajectories(u, weights, cfg, rng, chunk=CHUNK):
     """Feature matrix of bitstring frequencies over ``cfg.n_shots`` pure-state
     trajectories.
 
@@ -159,6 +221,7 @@ def run_trajectories(u, weights, cfg, rng, chunk=4096):
     if not isinstance(chunk, (int, np.integer)) or chunk < 1:
         raise ValueError(f"chunk must be an integer >= 1, got {chunk!r}")
     u = np.asarray(u, dtype=float)
+    check_memory(cfg, len(u), chunk)
     n_steps, n_mem = len(u), cfg.n_mem
     dim = 2 ** n_mem
 

@@ -188,20 +188,26 @@ def dense_step(rho, u_context, weights, cfg):
     rho_emb = u @ rho @ u.conj().T
     p = damping_probability(cfg.gamma)
     diag = np.clip(np.diagonal(rho_emb).real, 0.0, None)
-    dist = np.zeros(len(diag))
-    for b in range(len(diag)):
-        for m in range(len(diag)):
-            weight = 1.0
-            for j in range(len(diag).bit_length() - 1):
-                bj, mj = (b >> j) & 1, (m >> j) & 1
-                weight *= (1.0, 1.0 - p, 0.0, p)[2 * bj + mj]
-            dist[b] += weight * diag[m]
-    return damping_moveaxis(rho_emb, cfg.gamma), dist
+    # weight[b, m] = prod_j P(readout bit b_j | memory bit m_j), read off
+    # every (outcome, basis state) pair's bits
+    b, m = np.indices((len(diag), len(diag)))
+    weight = np.ones((len(diag), len(diag)))
+    for j in range(len(diag).bit_length() - 1):
+        bj, mj = (b >> j) & 1, (m >> j) & 1
+        weight *= np.array([1.0, 1.0 - p, 0.0, p])[2 * bj + mj]
+    return damping_moveaxis(rho_emb, cfg.gamma), weight @ diag
 
 
 # ---------------------------------------------------------------------------
 # gates and state checks
 # ---------------------------------------------------------------------------
+
+def ground_state_vector(n_qubits: int) -> np.ndarray:
+    """|0..0> on n_qubits."""
+    psi = np.zeros(1 << n_qubits, dtype=complex)
+    psi[0] = 1.0
+    return psi
+
 
 def rx(theta: float) -> np.ndarray:
     """Rotation exp(-i theta X / 2)."""

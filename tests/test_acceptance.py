@@ -43,6 +43,8 @@ from swapqrn.tasks import (
 
 import oracles
 
+pytestmark = pytest.mark.acceptance
+
 GAMMA_GRID = tuple(round(0.05 * k, 10) for k in range(1, 21))
 FLOOR_U01 = float(np.sqrt(1.0 / 12.0))
 

@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 
 from swapqrn.channel import (
     kraus_pair, damping_channel, outcome_distribution, purity,
-    trajectory_step, ground_state, ground_state_vector, rehermitize,
+    trajectory_step, ground_state, rehermitize,
 )
 
 import oracles
@@ -216,7 +216,7 @@ class TestTrajectoryStep:
     def test_state_stays_normalized(self):
         """The norm is reset every step, so it does not drift over 1,000."""
         rng = np.random.default_rng(29)
-        states = np.tile(ground_state_vector(3), (16, 1))
+        states = np.tile(oracles.ground_state_vector(3), (16, 1))
         for _ in range(1000):
             u = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
             q, _ = np.linalg.qr(u)

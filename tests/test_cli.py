@@ -92,6 +92,16 @@ class TestParseConfig:
         with pytest.raises(cli.ConfigError):
             cli.parse_config(task="qasm")
 
+    def test_over_memory_reservoir_rejected(self):
+        with pytest.raises(cli.ConfigError, match="physical memory"):
+            cli.parse_config(task="narma5", flag_overrides={"n_qubits": 48})
+
+    def test_esn_grid_needs_no_quantum_state(self):
+        """The ESN baseline's register sizes are node counts, never a state."""
+        cfg = cli.parse_config(task="esn-baseline",
+                               flag_overrides={"n_qubits_grid": "2,48"})
+        assert cfg.sweep["n_qubits"] == (2, 48)
+
     def test_output_root_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SWAPQRN_OUTPUT_ROOT", str(tmp_path))
         cfg = cli.parse_config(task="stmc")
@@ -188,6 +198,10 @@ class TestSweepVerb:
         for fname in ("results.csv", "MANIFEST", "fig_stmc_r2_vs_tau.csv",
                       "fig_stmc_rmse_vs_gamma.csv"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+        env = json.loads((outs[0] / "records.json").read_text())["environment"]
+        assert env["numpy"] == np.__version__
+        assert set(env) == {"numpy", "scipy", "blas", "threads", "cpu_count"}
+        assert set(env["blas"]) == {"name", "version"}
 
     def test_staging_files_written_and_merged(self, tmp_path):
         path = write_config(
@@ -223,6 +237,19 @@ class TestSweepVerb:
                          "--workers", workers])
         assert code == 2
         assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists()
+
+    def test_over_memory_grid_rejected_before_writing(self, tmp_path, capsys):
+        """A grid point whose state cannot fit in physical memory is refused
+        from its estimate alone."""
+        path = write_config(tmp_path, TINY_STMC)
+        out = tmp_path / "out"
+        code = cli.main(["sweep", "--config", path, "--outdir", str(out),
+                         "--n-qubits-grid", "4,48", "--gamma-grid", "0.5"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: sweep.n_qubits: n_qubits=48 ")
+        assert "physical memory" in err
         assert not out.exists()
 
     def test_workers_capped_at_cpu_count(self, tmp_path, capsys, monkeypatch):

@@ -1,16 +1,21 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from swapqrn.channel import ground_state, outcome_distribution, rehermitize
+from swapqrn import reservoir
+from swapqrn.channel import (
+    damping_channel, ground_state, outcome_distribution, rehermitize,
+)
 from swapqrn.embedding import (
     EmbeddingWeights, init_weights, context_window, compute_angles,
     embedding_unitary,
 )
 from swapqrn.reservoir import (
-    ReservoirConfig, step, run_exact, run_sampled, run_trajectories,
-    bitstring_labels, features_to_csv, features_from_csv,
-    features_to_json, features_from_json,
+    ReservoirConfig, check_memory, step, run_exact, run_sampled,
+    run_trajectories, run_features, bitstring_labels, features_to_csv,
+    features_from_csv, features_to_json, features_from_json,
 )
 
 import oracles
@@ -99,6 +104,87 @@ class TestFactoredKernel:
         ref_state, ref_dist = oracles.dense_step(rho0, x, w, cfg)
         assert np.max(np.abs(state - ref_state)) <= 1e-12
         assert np.max(np.abs(dist - ref_dist)) <= 1e-12
+
+
+    @pytest.mark.parametrize("gamma", [0.05, 0.55, 1.0])
+    @pytest.mark.parametrize("n_repeats", [1, 3])
+    @pytest.mark.parametrize("n_mem", [3, 5])
+    def test_long_horizon_matches_dense_step(self, n_mem, n_repeats, gamma):
+        """1,000 fused steps, each damping scaling folded into the next
+        rotation, stay on the dense recursion and never trip a check."""
+        cfg = ReservoirConfig(n_qubits=2 * n_mem, gamma=gamma,
+                              n_repeats=n_repeats, seed=n_mem + n_repeats)
+        w = init_weights(cfg.seed, c=1, n_mem=n_mem)
+        u = np.random.default_rng(n_mem * n_repeats).random(1000)
+        rows = run_exact(u, w, cfg)
+        rho = ground_state(n_mem)
+        for t in range(len(u)):
+            rho, dist = oracles.dense_step(rho, context_window(u, t, 1), w, cfg)
+            rho = rehermitize(rho)
+            assert np.max(np.abs(rows[t] - dist)) <= 1e-12
+
+    @pytest.mark.parametrize("n_repeats", [1, 2])
+    def test_step_is_damping_of_embedded_state(self, n_repeats):
+        """step() scales its state explicitly: it returns the fully damped
+        post-embedding state and leaves its input untouched."""
+        rng = np.random.default_rng(12)
+        w = init_weights(6, c=2, n_mem=3)
+        cfg = ReservoirConfig(n_qubits=6, gamma=0.35, n_repeats=n_repeats, c=2)
+        rho0 = oracles.random_density(rng, 8)
+        before = rho0.copy()
+        x = rng.random(2)
+        u = embedding_unitary(compute_angles(x, w), w.w_hidden, n_repeats)
+        state, _ = step(rho0, x, w, cfg)
+        assert np.max(np.abs(state - damping_channel(u @ rho0 @ u.conj().T,
+                                                     0.35))) <= 1e-13
+        assert np.array_equal(rho0, before)
+
+
+class TestHealthChecks:
+    """run_exact checks the held state instead of repairing it."""
+
+    CFG = ReservoirConfig(n_qubits=4, gamma=0.05)
+
+    def test_trace_drift_raises(self, monkeypatch):
+        drifted = (1.0 + 1e-8) * ground_state(2)
+        monkeypatch.setattr(reservoir, "ground_state", lambda n: drifted)
+        with pytest.raises(FloatingPointError,
+                           match=r"trace drift 1\.000e-08 at step 0 exceeds 1e-10"):
+            run_exact(np.zeros(3), init_weights(1, c=1, n_mem=2), self.CFG)
+
+    def test_skewed_state_raises(self, monkeypatch):
+        skewed = ground_state(2)
+        skewed[0, 1] = skewed[1, 0] = 1e-6j  # anti-Hermitian, trace unchanged
+        monkeypatch.setattr(reservoir, "ground_state", lambda n: skewed)
+        with pytest.raises(FloatingPointError,
+                           match=r"Hermiticity residual .* at step 2 exceeds"):
+            run_exact(np.zeros(3), init_weights(1, c=1, n_mem=2), self.CFG)
+
+
+class TestMemoryCheck:
+    """Estimated only: nothing of the refused size is ever allocated."""
+
+    def test_estimate_small_run(self):
+        cfg = ReservoirConfig(n_qubits=4, gamma=0.5)
+        assert check_memory(cfg, 10) == 3 * 16 * 16 + 8 * 10 * 4
+        traj = replace(cfg, backend="trajectory", n_shots=50)
+        assert check_memory(traj, 10, chunk=7) == (
+            16 * 7 * 4 + 24 * 16 + 8 * 7 * 10 * 2 + 8 * 10 * 4)
+
+    def test_exact_refused_before_allocating(self):
+        cfg = ReservoirConfig(n_qubits=48, gamma=0.5, n_shots=10)
+        w = init_weights(1, c=1, n_mem=24)
+        for backend in ("exact", "sampled"):
+            with pytest.raises(ValueError, match="physical memory"):
+                run_features(np.zeros(5), w, replace(cfg, backend=backend))
+
+    def test_trajectory_refused_before_spawning(self):
+        cfg = ReservoirConfig(n_qubits=48, gamma=0.5, n_shots=10,
+                              backend="trajectory")
+        rng = np.random.default_rng(5)
+        with pytest.raises(ValueError, match="physical memory"):
+            run_trajectories(np.zeros(5), init_weights(1, c=1, n_mem=24), cfg, rng)
+        assert rng.bit_generator.seed_seq.n_children_spawned == 0
 
 
 class TestRunExactAgainstJointRegister:
