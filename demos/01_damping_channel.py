@@ -8,15 +8,14 @@ the purification of a repeatedly measured register.
 """
 import numpy as np
 
-from swapqrn import damping_channel, kraus_pair, purity, ground_state
+from swapqrn import damping_channel, purity, ground_state
 from swapqrn.gates import damping_probability
 
 rng = np.random.default_rng(7)
 
 print("damping probability p = sin^2(pi*gamma/2)")
 for gamma in (0.1, 0.25, 0.5, 0.75, 1.0):
-    pair = kraus_pair(gamma)
-    print(f"  gamma={gamma:4.2f}  p={pair.p:.6f}  "
+    print(f"  gamma={gamma:4.2f}  p={damping_probability(gamma):.6f}  "
           f"sin^2={np.sin(np.pi * gamma / 2) ** 2:.6f}")
 
 print("\nsingle-qubit channel vs analytic form, random state, gamma=0.6")

@@ -15,29 +15,11 @@ copy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .gates import check_gamma, damping_probability, n_qubits_of, swap_coefficients
-
-
-@dataclass(frozen=True)
-class KrausPair:
-    """Single-qubit Kraus operators of one coupling round at a given gamma."""
-    k0: np.ndarray
-    k1: np.ndarray
-    gamma: float
-    p: float
-
-
-def kraus_pair(gamma: float) -> KrausPair:
-    """K0 = diag(1, A), K1 = B |0><1|, with damping probability p = |B|^2."""
-    a, b = swap_coefficients(gamma)
-    k0 = np.array([[1.0, 0.0], [0.0, a]], dtype=complex)
-    k1 = np.array([[0.0, b], [0.0, 0.0]], dtype=complex)
-    return KrausPair(k0=k0, k1=k1, gamma=float(gamma), p=damping_probability(gamma))
 
 
 def ground_state(n_qubits: int) -> np.ndarray:
@@ -161,8 +143,8 @@ def trajectory_step(states: np.ndarray, gamma: float, uniforms: np.ndarray):
     return kept * scale, bits
 
 
-def rehermitize(rho: np.ndarray, trace_tol: float = 1e-12) -> np.ndarray:
-    """(rho + rho^+)/2, rescaled to unit trace when it has drifted.
+def rehermitize(rho: np.ndarray) -> np.ndarray:
+    """(rho + rho^+)/2, rescaled to unit trace when it has drifted past 1e-12.
 
     No path of the package repairs its state any more (``run_exact`` checks
     it instead); this stays for the traced replay in ``perfbench/child.py``.
@@ -170,6 +152,6 @@ def rehermitize(rho: np.ndarray, trace_tol: float = 1e-12) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     rho = 0.5 * (rho + rho.conj().T)
     tr = np.trace(rho).real
-    if abs(tr - 1.0) > trace_tol:
+    if abs(tr - 1.0) > 1e-12:
         rho = rho / tr
     return rho

@@ -35,7 +35,6 @@ from pathlib import Path
 from typing import get_args, get_origin
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .reservoir import BACKENDS, ReservoirConfig, check_memory
@@ -398,13 +397,13 @@ def _write_json(path, payload):
 
 
 def _environment():
-    """Library versions, BLAS build and thread settings of this process.
+    """numpy version, BLAS build and thread settings of this process.
 
     They describe the host, not the result, so only ``records.json`` carries
     them, never the files that must rerun byte-identical.
     """
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {"numpy": np.__version__, "scipy": scipy.__version__,
+    return {"numpy": np.__version__,
             "blas": {"name": blas["name"], "version": blas["version"]},
             "threads": {k: v for k, v in sorted(os.environ.items())
                         if k.endswith("_NUM_THREADS")},

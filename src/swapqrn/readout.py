@@ -4,7 +4,6 @@ scoring metrics used by the benchmark tasks."""
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError as _SciLinAlgError
 
 SHORT_DELAYS = tuple(range(0, -5, -1))
 
@@ -41,11 +40,12 @@ def ridge_fit(x, y, alpha):
     xc = x - x_mean
     gram = xc.T @ xc + alpha * np.eye(x.shape[1])
     try:
-        w = cho_solve(cho_factor(gram), xc.T @ (y - y_mean))
-    except _SciLinAlgError as exc:
+        chol = np.linalg.cholesky(gram)  # raises unless positive definite
+    except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             "normal equations are singular or ill-conditioned; "
             "increase alpha") from exc
+    w = np.linalg.solve(chol.T, np.linalg.solve(chol, xc.T @ (y - y_mean)))
     return RidgeModel(w=w, b=float(y_mean - x_mean @ w), alpha=float(alpha))
 
 

@@ -36,7 +36,7 @@ from .embedding import (context_window, compute_angles, crz_ring_diagonal,
                         embedding_unitary, kron_layer, rotation_stack)
 
 BACKENDS = ("exact", "sampled", "trajectory")
-CHUNK = 4096  # default shots per trajectory batch
+CHUNK = 4096  # shots per trajectory batch
 HEALTH_TOL = 1e-10  # largest trace drift or Hermiticity residual accepted
 
 
@@ -89,19 +89,19 @@ def _check_weights(weights, cfg):
             f"weights are for context length {weights.c}, config wants {cfg.c}")
 
 
-def check_memory(cfg, n_steps, chunk=CHUNK):
+def check_memory(cfg, n_steps):
     """Bytes a run of ``n_steps`` inputs needs, estimated before anything is
     allocated; raises ``ValueError`` when that exceeds physical memory.
 
     The exact and sampled backends hold rho and two matmul temporaries of
     16 * 4**n_mem B each, plus the feature matrix.  The trajectory backend
-    holds a ``(chunk, 2**n_mem)`` state batch, the ``(2**n_mem, 2**n_mem)``
+    holds a ``(CHUNK, 2**n_mem)`` state batch, the ``(2**n_mem, 2**n_mem)``
     collapse tables (complex coefficients, int64 gather indices), the
-    ``(chunk, T, n_mem)`` uniform block and the count matrix.
+    ``(CHUNK, T, n_mem)`` uniform block and the count matrix.
     """
     dim = 2 ** cfg.n_mem
     if cfg.backend == "trajectory":
-        shots = min(chunk, cfg.n_shots)
+        shots = min(CHUNK, cfg.n_shots)
         need = (16 * shots * dim + 24 * dim * dim
                 + 8 * shots * n_steps * cfg.n_mem + 8 * n_steps * dim)
     else:
@@ -207,28 +207,27 @@ def run_sampled(u, weights, cfg, rng):
     return counts / cfg.n_shots
 
 
-def run_trajectories(u, weights, cfg, rng, chunk=CHUNK):
+def run_trajectories(u, weights, cfg, rng):
     """Feature matrix of bitstring frequencies over ``cfg.n_shots`` pure-state
     trajectories.
 
     Each shot owns an independent child generator spawned from ``rng`` and
     :func:`swapqrn.channel.trajectory_step` never mixes rows, so results do
-    not depend on ``chunk`` and single-shot streams are bit-reproducible.
+    not depend on the batch size ``CHUNK`` and single-shot streams are
+    bit-reproducible.
     """
     _check_weights(weights, cfg)
     if cfg.n_shots is None:
         raise ValueError("run_trajectories requires cfg.n_shots")
-    if not isinstance(chunk, (int, np.integer)) or chunk < 1:
-        raise ValueError(f"chunk must be an integer >= 1, got {chunk!r}")
     u = np.asarray(u, dtype=float)
-    check_memory(cfg, len(u), chunk)
+    check_memory(cfg, len(u))
     n_steps, n_mem = len(u), cfg.n_mem
     dim = 2 ** n_mem
 
     counts = np.zeros((n_steps, dim), dtype=np.int64)
     done = 0
     while done < cfg.n_shots:
-        m = min(chunk, cfg.n_shots - done)
+        m = min(CHUNK, cfg.n_shots - done)
         uniforms = np.empty((m, n_steps, n_mem))
         for k, child in enumerate(rng.spawn(m)):
             child.random(out=uniforms[k])

@@ -5,6 +5,8 @@ matrices, deliberately avoiding the reshape/caching tricks of the package
 under test, so agreement between the two is meaningful.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from swapqrn.embedding import compute_angles, embedding_unitary
@@ -167,10 +169,27 @@ def damping_moveaxis(rho: np.ndarray, gamma: float) -> np.ndarray:
     return t.reshape(rho.shape)
 
 
+@dataclass(frozen=True)
+class KrausPair:
+    """Single-qubit Kraus operators of one coupling round at a given gamma."""
+    k0: np.ndarray
+    k1: np.ndarray
+    gamma: float
+    p: float
+
+
+def kraus_pair(gamma: float) -> KrausPair:
+    """K0 = diag(1, A), K1 = B |0><1|, with damping probability p = |B|^2."""
+    a, b = swap_coefficients(gamma)
+    k0 = np.array([[1.0, 0.0], [0.0, a]], dtype=complex)
+    k1 = np.array([[0.0, b], [0.0, 0.0]], dtype=complex)
+    return KrausPair(k0=k0, k1=k1, gamma=float(gamma), p=damping_probability(gamma))
+
+
 def damping_kraus_sum(rho: np.ndarray, gamma: float) -> np.ndarray:
     """sum_b (kron_j K_{b_j}) rho (kron_j K_{b_j})^+ over all 2^n Kraus strings."""
-    a, b = swap_coefficients(gamma)
-    kraus = (np.array([[1.0, 0.0], [0.0, a]]), np.array([[0.0, b], [0.0, 0.0]]))
+    kp = kraus_pair(gamma)
+    kraus = (kp.k0, kp.k1)
     n = rho.shape[0].bit_length() - 1
     out = np.zeros_like(rho, dtype=complex)
     for bits in range(1 << n):

@@ -4,12 +4,12 @@ from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from swapqrn.channel import (
-    kraus_pair, damping_channel, outcome_distribution, purity,
-    trajectory_step, ground_state, rehermitize,
+    damping_channel, outcome_distribution, purity, trajectory_step,
+    ground_state, rehermitize,
 )
 
 import oracles
-from oracles import check_density_matrix
+from oracles import check_density_matrix, kraus_pair
 
 GAMMA_GRID = np.round(np.arange(0.05, 1.0001, 0.05), 10)
 
@@ -25,6 +25,7 @@ def analytic_single_qubit(rho, gamma):
 
 
 class TestKrausPair:
+    """The Kraus pair in ``oracles`` that the explicit-sum references use."""
 
     def test_full_swap_limit(self):
         """gamma=1: K0 = diag(1, 0), K1 = |0><1|, p = 1."""

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -200,7 +202,7 @@ class TestSweepVerb:
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
         env = json.loads((outs[0] / "records.json").read_text())["environment"]
         assert env["numpy"] == np.__version__
-        assert set(env) == {"numpy", "scipy", "blas", "threads", "cpu_count"}
+        assert set(env) == {"numpy", "blas", "threads", "cpu_count"}
         assert set(env["blas"]) == {"name", "version"}
 
     def test_staging_files_written_and_merged(self, tmp_path):
@@ -398,3 +400,16 @@ n_qubits = 2, 4
         lines = (out / "fig_esn_comparison.csv").read_text().splitlines()
         assert lines[0] == "n_nodes,median,q1,q3"
         assert [line.split(",")[0] for line in lines[1:]] == ["1", "2"]
+
+
+def test_import_loads_no_scipy():
+    """numpy is the only runtime dependency: importing the package and its
+    CLI in a fresh interpreter leaves no scipy module loaded."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, swapqrn, swapqrn.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -12,18 +12,24 @@ import oracles
 class TestRidgeFit:
 
     def test_matches_normal_equation_oracle(self):
-        """Centered solver agrees with the explicit augmented normal equations."""
+        """Centered solver agrees with the explicit augmented normal equations,
+        up to the STMC readout's 256 collinear probability columns."""
         rng = np.random.default_rng(0)
+        cases = []
         for _ in range(200):
             n = int(rng.integers(8, 40))
             k = int(rng.integers(1, 7))
-            x = rng.normal(size=(n, k))
-            y = rng.normal(size=n)
-            alpha = float(10.0 ** rng.uniform(-8, 1))
+            cases.append((rng.normal(size=(n, k)), rng.normal(size=n),
+                          float(10.0 ** rng.uniform(-8, 1))))
+        # 16 qubits: rows are readout distributions, which sum to 1
+        cases.append((rng.dirichlet(np.ones(256), size=700),
+                      rng.uniform(size=700), 1e-5))
+        for x, y, alpha in cases:
             model = ridge_fit(x, y, alpha)
             w_ref, b_ref = oracles.ridge_oracle(x, y, alpha)
             assert_allclose(model.w, w_ref, atol=1e-8)
             assert_allclose(model.b, b_ref, atol=1e-8)
+            assert_allclose(predict(model, x), x @ w_ref + b_ref, atol=1e-8)
 
     def test_recovers_exact_linear_map(self):
         rng = np.random.default_rng(1)

@@ -13,7 +13,7 @@ from swapqrn.embedding import (
     embedding_unitary,
 )
 from swapqrn.reservoir import (
-    ReservoirConfig, check_memory, step, run_exact, run_sampled,
+    CHUNK, ReservoirConfig, check_memory, step, run_exact, run_sampled,
     run_trajectories, run_features, bitstring_labels, features_to_csv,
     features_from_csv, features_to_json, features_from_json,
 )
@@ -167,9 +167,9 @@ class TestMemoryCheck:
     def test_estimate_small_run(self):
         cfg = ReservoirConfig(n_qubits=4, gamma=0.5)
         assert check_memory(cfg, 10) == 3 * 16 * 16 + 8 * 10 * 4
-        traj = replace(cfg, backend="trajectory", n_shots=50)
-        assert check_memory(traj, 10, chunk=7) == (
-            16 * 7 * 4 + 24 * 16 + 8 * 7 * 10 * 2 + 8 * 10 * 4)
+        traj = replace(cfg, backend="trajectory", n_shots=CHUNK + 1)
+        assert check_memory(traj, 10) == (
+            16 * CHUNK * 4 + 24 * 16 + 8 * CHUNK * 10 * 2 + 8 * 10 * 4)
 
     def test_exact_refused_before_allocating(self):
         cfg = ReservoirConfig(n_qubits=48, gamma=0.5, n_shots=10)
@@ -348,26 +348,16 @@ class TestRunTrajectories:
                 counts[t, bits] += 1
         assert_allclose(freq, counts / n_shots, rtol=0, atol=0)
 
-    def test_chunking_does_not_change_results(self):
+    def test_chunking_does_not_change_results(self, monkeypatch):
         w = init_weights(2, c=1, n_mem=1)
         u = np.random.default_rng(9).random(8)
         cfg = ReservoirConfig(n_qubits=2, gamma=0.7, backend="trajectory",
                               n_shots=50)
-        a = run_trajectories(u, w, cfg, np.random.default_rng(5), chunk=7)
-        b = run_trajectories(u, w, cfg, np.random.default_rng(5), chunk=50)
+        monkeypatch.setattr(reservoir, "CHUNK", 7)
+        a = run_trajectories(u, w, cfg, np.random.default_rng(5))
+        monkeypatch.setattr(reservoir, "CHUNK", 50)
+        b = run_trajectories(u, w, cfg, np.random.default_rng(5))
         assert_allclose(a, b, rtol=0, atol=0)
-
-    @pytest.mark.parametrize("chunk", [0, -3, 2.5, "8"])
-    def test_rejects_bad_chunk(self, chunk):
-        """A chunk that is not an integer >= 1 is named before any shot's
-        generator is spawned."""
-        w = init_weights(2, c=1, n_mem=1)
-        cfg = ReservoirConfig(n_qubits=2, gamma=0.7, backend="trajectory",
-                              n_shots=5)
-        rng = np.random.default_rng(5)
-        with pytest.raises(ValueError, match="chunk"):
-            run_trajectories(np.zeros(4), w, cfg, rng, chunk=chunk)
-        assert rng.bit_generator.seed_seq.n_children_spawned == 0
 
 
 class TestFeatureSerialization:
