@@ -28,7 +28,7 @@ import os
 import sys
 import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, asdict, fields, replace
 from itertools import product
 from pathlib import Path
@@ -319,10 +319,19 @@ def _execute_point(cfg, point):
 
 @contextmanager
 def _atomic_open(path):
-    """Write to a temp file beside ``path``; rename it over ``path`` once done."""
-    with open(f"{path}.tmp", "w", newline="") as handle:
-        yield handle
-    os.replace(f"{path}.tmp", path)
+    """Write to a temp file beside ``path``; rename it over ``path`` once done.
+
+    If the write raises, the temp file is removed and ``path`` left as it was.
+    """
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", newline="") as handle:
+            yield handle
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def _fmt(value):

@@ -29,11 +29,11 @@ import numpy as np
 
 from .gates import check_gamma, damping_probability, swap_coefficients
 from .channel import (
-    ground_state, damping_scale, damping_transfer, outcome_distribution,
-    trajectory_step,
+    collapse, collapse_tables, collapse_workspace, collapse_workspace_bytes,
+    damping_scale, damping_transfer, ground_state, outcome_distribution,
 )
 from .embedding import (context_window, compute_angles, crz_ring_diagonal,
-                        embedding_unitary, kron_layer, rotation_stack)
+                        kron_layer, rotation_stack)
 
 BACKENDS = ("exact", "sampled", "trajectory")
 CHUNK = 4096  # shots per trajectory batch
@@ -93,19 +93,31 @@ def check_memory(cfg, n_steps):
     """Bytes a run of ``n_steps`` inputs needs, estimated before anything is
     allocated; raises ``ValueError`` when that exceeds physical memory.
 
-    The exact and sampled backends hold rho and two matmul temporaries of
-    16 * 4**n_mem B each, plus the feature matrix.  The trajectory backend
-    holds a ``(CHUNK, 2**n_mem)`` state batch, the ``(2**n_mem, 2**n_mem)``
-    collapse tables (complex coefficients, int64 gather indices), the
-    ``(CHUNK, T, n_mem)`` uniform block and the count matrix.
+    Exact and sampled: :func:`_kernel_step` holds up to four arrays of
+    rho's 16 * 4**n_mem B at once (the held rho, a rotated copy and the
+    matmul pair that replaces it), five at n_repeats > 1, where the caller's
+    rho outlives the first repeat; then the cached ``dim x dim`` POVM matrix
+    of 8 * 4**n_mem B and the ``(T, dim)`` feature matrix, which the sampled
+    backend's draws copy three times more.  Trajectory: the workspace of one
+    chunk of ``min(CHUNK, n_shots)`` rows (the collapse buffers of
+    :func:`swapqrn.channel.collapse_workspace_bytes`, the embedded batch and
+    the ``(rows, T, n_mem)`` uniform block), the ``dim x dim`` collapse
+    tables (complex coefficients, int64 sources), up to four ``dim x dim``
+    complex arrays while a step's unitary is built, about 1 KiB per spawned
+    shot generator, and the count and feature matrices.  Both add 256 KiB for
+    the interpreter's own small objects.
     """
     dim = 2 ** cfg.n_mem
     if cfg.backend == "trajectory":
-        shots = min(CHUNK, cfg.n_shots)
-        need = (16 * shots * dim + 24 * dim * dim
-                + 8 * shots * n_steps * cfg.n_mem + 8 * n_steps * dim)
+        rows = min(CHUNK, cfg.n_shots)
+        need = (collapse_workspace_bytes(rows, cfg.n_mem) + 16 * rows * dim
+                + 8 * rows * n_steps * cfg.n_mem + 24 * dim * dim
+                + 4 * 16 * dim * dim + 1024 * rows + 2 * 8 * n_steps * dim)
     else:
-        need = 3 * 16 * dim * dim + 8 * n_steps * dim
+        held = 5 if cfg.n_repeats > 1 else 4
+        copies = 4 if cfg.backend == "sampled" else 1
+        need = held * 16 * dim * dim + 8 * dim * dim + copies * 8 * n_steps * dim
+    need += 2 ** 18
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise ValueError(
@@ -212,9 +224,13 @@ def run_trajectories(u, weights, cfg, rng):
     trajectories.
 
     Each shot owns an independent child generator spawned from ``rng`` and
-    :func:`swapqrn.channel.trajectory_step` never mixes rows, so results do
-    not depend on the batch size ``CHUNK`` and single-shot streams are
-    bit-reproducible.
+    :func:`swapqrn.channel.collapse` never mixes rows, so results do not
+    depend on the batch size ``CHUNK`` and single-shot streams are
+    bit-reproducible.  The collapse tables and the CRZ diagonal are built
+    once per run.  One workspace of ``min(CHUNK, n_shots)`` rows (the
+    embedded batch, the collapse buffers and the uniform block) is allocated
+    once and its first rows serve every chunk, so the step loop allocates
+    nothing of the batch's size.
     """
     _check_weights(weights, cfg)
     if cfg.n_shots is None:
@@ -223,21 +239,33 @@ def run_trajectories(u, weights, cfg, rng):
     check_memory(cfg, len(u))
     n_steps, n_mem = len(u), cfg.n_mem
     dim = 2 ** n_mem
+    p = damping_probability(cfg.gamma)
+    coef, src = collapse_tables(cfg.gamma, n_mem)
+    crz = crz_ring_diagonal(weights.w_hidden)
+    rows = min(CHUNK, cfg.n_shots)
+    ws = collapse_workspace(rows, n_mem)
+    embedded = np.empty((rows, dim), dtype=complex)
+    block = np.empty((rows, n_steps, n_mem))
 
     counts = np.zeros((n_steps, dim), dtype=np.int64)
     done = 0
     while done < cfg.n_shots:
         m = min(CHUNK, cfg.n_shots - done)
-        uniforms = np.empty((m, n_steps, n_mem))
+        uniforms = block[:m]
         for k, child in enumerate(rng.spawn(m)):
             child.random(out=uniforms[k])
-        states = np.zeros((m, dim), dtype=complex)
+        # the ground batch, in the buffer every collapse returns its states in
+        states = ws["out"][:m * dim].reshape(m, dim)
+        states.fill(0.0)
         states[:, 0] = 1.0
         for t in range(n_steps):  # one unitary at a time, never all T
             theta = compute_angles(context_window(u, t, cfg.c), weights)
-            unitary = embedding_unitary(theta, weights.w_hidden, cfg.n_repeats)
-            states, bits = trajectory_step(states @ unitary.T, cfg.gamma,
-                                           uniforms[:, t])
+            unitary = crz[:, None] * kron_layer(rotation_stack(theta))
+            if cfg.n_repeats > 1:  # embedding_unitary, with crz built once
+                unitary = np.linalg.matrix_power(unitary, cfg.n_repeats)
+            np.matmul(states, unitary.T, out=embedded[:m])
+            states, bits = collapse(embedded[:m], uniforms[:, t], p, coef,
+                                    src, ws)
             counts[t] += np.bincount(bits, minlength=dim)
         done += m
     return counts / cfg.n_shots

@@ -402,6 +402,13 @@ n_qubits = 2, 4
         assert [line.split(",")[0] for line in lines[1:]] == ["1", "2"]
 
 
+def test_failed_write_leaves_no_files(tmp_path):
+    """A write that raises leaves neither the target nor its temp file."""
+    with pytest.raises(TypeError):
+        cli._write_json(tmp_path / "records.json", {"a": object()})
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_import_loads_no_scipy():
     """numpy is the only runtime dependency: importing the package and its
     CLI in a fresh interpreter leaves no scipy module loaded."""
