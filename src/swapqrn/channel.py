@@ -15,7 +15,6 @@ copy.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
@@ -103,35 +102,24 @@ def purity(rho: np.ndarray) -> float:
     return float(np.einsum("ij,ji->", rho, rho).real)
 
 
-def _collapse_layout(n):
-    # entries per row and dtype of every buffer collapse() writes
-    dim = 1 << n
-    layout = {"sq": (2 * dim, float), "a0": (1, float), "b0": (1, float),
-              "a1": (1, float), "b1": (1, float), "s": (1, float),
-              "lhs": (1, float), "rhs": (1, float), "f": (1, float),
-              "keep": (1, float), "take": (n, bool), "shifted": (n, np.int64),
-              "bits": (1, np.int64), "norm": (1, float), "inv": (1, float),
-              "offsets": (1, np.int64), "kept": (dim, complex),
-              "scale": (dim, complex), "out": (dim, complex)}
-    layout.update({f"w{q}": (dim >> q, float) for q in range(n + 1)})
-    return layout
-
-
 def collapse_workspace(m, n):
-    """Buffers :func:`collapse` writes for up to m rows of n qubits, as a
-    dict of flat arrays; a batch of j <= m rows uses the first j/m of each.
-    ``"offsets"`` holds the flat row offsets r * 2**n, the only entry that
-    is not scratch."""
-    ws = {name: np.empty(m * size, dtype)
-          for name, (size, dtype) in _collapse_layout(n).items()}
-    ws["offsets"][:] = np.arange(m) << n
-    return ws
+    """Arrays :func:`collapse` writes for a batch of m rows of n qubits: the
+    ones whose size scales with the batch.  ``"levels"`` holds the two
+    half-size buffers that the draw's levels alternate between."""
+    dim = 1 << n
+    return {"sq": np.empty((m, 2 * dim)), "w": np.empty((dim, m)),
+            "levels": np.empty((2, dim // 2, m)),
+            "index": np.empty((m, dim), np.int64),
+            "kept": np.empty((m, dim), complex),
+            "scale": np.empty((m, dim), complex),
+            "out": np.empty((m, dim), complex)}
 
 
 def collapse_workspace_bytes(m, n):
-    """Bytes of ``collapse_workspace(m, n)``, computed without allocating."""
-    return m * sum(size * np.dtype(dtype).itemsize
-                   for size, dtype in _collapse_layout(n).values())
+    """Bytes of ``collapse_workspace(m, n)``, computed without allocating:
+    per row and basis index, 16 of sq, 8 each of w, the levels and the
+    index, and 16 each of kept, scale and out."""
+    return 88 * m << n
 
 
 def collapse_tables(gamma, n):
@@ -145,77 +133,48 @@ def collapse_tables(gamma, n):
     return coef, idx[:, None] | idx
 
 
-def _ordered_sum(rows, a, b):
-    # ((r0 + r1) + r2) + ..., left to right as the stored trajectory
-    # references were summed (add.reduce may pair terms on one row), between
-    # a and b so that no out= is also an input
-    if len(rows) == 1:
-        return rows[0]
-    total = np.add(rows[0], rows[1], out=a)
-    for j in range(2, len(rows)):
-        total = np.add(total, rows[j], out=(a, b)[(j - 1) % 2])
-    return total
-
-
 def collapse(states, uniforms, p, coef, src, ws):
-    """The collapse of :func:`trajectory_step`, allocating nothing.
+    """The collapse of :func:`trajectory_step` on the batch-sized arrays of
+    ``ws``, a :func:`collapse_workspace` of exactly m rows.
 
     Draws with ``uniforms`` (m, n) and damping probability ``p``, gathers
     with the tables of :func:`collapse_tables`, and returns the collapsed
-    states and the outcomes as views into ``ws``, a
-    :func:`collapse_workspace` of at least m rows; ``states``, a C-contiguous
+    states, a view into ``ws``, and the outcomes; ``states``, a C-contiguous
     complex (m, 2**n) batch, is read only.
     The weights are held transposed, (2**n >> q, m), so every operation of
-    the draw loop runs along the m rows.  No ``out=`` aliases one of its own
-    inputs: numpy's in-place complex multiply rounds differently from its
-    out-of-place one, so an aliased step would not reproduce a fresh-array
-    step bit for bit.
+    the draw loop runs along the m rows.  No complex ``out=`` aliases one of
+    its own inputs: numpy's in-place complex multiply rounds differently
+    from its out-of-place one, so an aliased step would not reproduce a
+    fresh-array step bit for bit.  A float64 add or multiply in place rounds
+    as it does out of place.
     """
-    m, dim = states.shape
-    n = uniforms.shape[1]
-
-    def view(name, *shape, start=0):  # a shape-sized run of a flat buffer
-        return ws[name][start:start + math.prod(shape)].reshape(shape)
-
-    # sq holds Re^2 and Im^2, interleaved as in states; then each level's two
-    # products; then, as int64, the gather's sources and flat index
-    sq = np.square(states.view(float), out=view("sq", m, 2 * dim))
-    w = np.add(sq[:, 0::2].T, sq[:, 1::2].T, out=view("w0", dim, m))
-    s, lhs, rhs, f, keep = (view(name, m)
-                            for name in ("s", "lhs", "rhs", "f", "keep"))
-    take = view("take", n, m)
+    m, n = uniforms.shape
+    sq = np.square(states.view(float), out=ws["sq"])  # Re^2, Im^2 interleaved
+    w = np.add(sq[:, 0::2].T, sq[:, 1::2].T, out=ws["w"])
+    bits = np.zeros(m, np.int64)
     for q in range(n):  # qubit q is the lowest bit left in w
         w0, w1 = w[0::2], w[1::2]
-        k = len(w1)
-        s0 = _ordered_sum(w0, view("a0", m), view("b0", m))
-        s1 = _ordered_sum(w1, view("a1", m), view("b1", m))
-        np.add(s0, s1, out=s)
-        np.multiply(uniforms[:, q], s, out=lhs)
-        np.multiply(p, s1, out=rhs)
-        np.less(lhs, rhs, out=take[q])
+        # ((r0 + r1) + r2) + ..., left to right as the stored trajectory
+        # references were summed (add.reduce may pair terms on one row)
+        s0, s1 = w0[0].copy(), w1[0].copy()
+        for j in range(1, len(w0)):
+            s0 += w0[j]
+            s1 += w1[j]
+        take = uniforms[:, q] * (s0 + s1) < p * s1
+        bits |= take << q
         # the next w is where(take, 0, w0) + f w1, f = p where taken, else
-        # 1 - p, computed as w0 keep + f w1: w0 * 0 is +0 (w0 >= 0) and
-        # +0 + x is x, so the two agree bit for bit
-        f.fill(1.0 - p)
-        np.copyto(f, p, where=take[q])
-        np.subtract(1.0, take[q], out=keep)
-        part = np.multiply(f, w1, out=view("sq", k, m))
-        held = np.multiply(w0, keep, out=view("sq", k, m, start=k * m))
-        w = np.add(held, part, out=view(f"w{q + 1}", k, m))
-    shifted = np.left_shift(take, np.arange(n)[:, None],
-                            out=view("shifted", n, m))
-    bits = np.sum(shifted, axis=0, out=view("bits", m))
-    sources = view("sq", m, dim).view(np.int64)
-    index = view("sq", m, dim, start=m * dim).view(np.int64)
+        # 1 - p, computed as w0 (1 - take) + f w1: w0 * 0 is +0 (w0 >= 0) and
+        # +0 + x is x, so the two agree bit for bit; the spent sq holds f w1
+        part = np.multiply(np.where(take, p, 1.0 - p), w1,
+                           out=sq.reshape(-1, m)[:len(w1)])
+        w = np.multiply(w0, ~take, out=ws["levels"][q % 2, :len(w1)])
+        w += part
     # mode="clip" as every index is in range; mode="raise" buffers out=
-    np.take(src, bits, axis=0, out=sources, mode="clip")
-    np.add(sources, view("offsets", m, 1), out=index)
-    kept = np.take(states.reshape(-1), index, out=view("kept", m, dim),
-                   mode="clip")
-    out = np.take(coef, bits, axis=0, out=view("out", m, dim), mode="clip")
-    norm = np.sqrt(w.reshape(m, 1), out=view("norm", m, 1))
-    inv = np.divide(1.0, norm, out=view("inv", m, 1))
-    scale = np.multiply(out, inv, out=view("scale", m, dim))
+    index = np.take(src, bits, axis=0, out=ws["index"], mode="clip")
+    index += (np.arange(m) << n)[:, None]  # flat offsets of the rows
+    kept = np.take(states.reshape(-1), index, out=ws["kept"], mode="clip")
+    out = np.take(coef, bits, axis=0, out=ws["out"], mode="clip")
+    scale = np.multiply(out, 1.0 / np.sqrt(w.reshape(m, 1)), out=ws["scale"])
     return np.multiply(kept, scale, out=out), bits
 
 

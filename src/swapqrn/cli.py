@@ -149,8 +149,11 @@ def _check_fits(task, reservoir, task_spec):
 
 def _validate_grids(task, sweep, reservoir, task_spec):
     """Each grid value must make a valid config with the base reservoir, and
-    one that fits in memory."""
+    one that fits in memory; the ESN baseline sweeps its size alone."""
     for axis, values in sweep.items():
+        if task == "esn-baseline" and axis != "n_qubits":
+            raise ConfigError(f"sweep.{axis}: the esn-baseline task sweeps "
+                              f"n_qubits only; drop the {axis} grid")
         for value in values:
             try:
                 _check_fits(task, replace(reservoir, **{axis: value}), task_spec)

@@ -58,6 +58,12 @@ class ReservoirConfig:
     backend: str = "exact"
 
     def __post_init__(self):
+        for name in ("n_qubits", "n_repeats", "c", "n_shots"):
+            value = getattr(self, name)
+            if value is None and name == "n_shots":
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_qubits < 2 or self.n_qubits % 2 != 0:
             raise ValueError(
                 f"n_qubits must be an even integer >= 2, got {self.n_qubits}")
@@ -98,21 +104,25 @@ def check_memory(cfg, n_steps):
     matmul pair that replaces it), five at n_repeats > 1, where the caller's
     rho outlives the first repeat; then the cached ``dim x dim`` POVM matrix
     of 8 * 4**n_mem B and the ``(T, dim)`` feature matrix, which the sampled
-    backend's draws copy three times more.  Trajectory: the workspace of one
-    chunk of ``min(CHUNK, n_shots)`` rows (the collapse buffers of
-    :func:`swapqrn.channel.collapse_workspace_bytes`, the embedded batch and
-    the ``(rows, T, n_mem)`` uniform block), the ``dim x dim`` collapse
-    tables (complex coefficients, int64 sources), up to four ``dim x dim``
-    complex arrays while a step's unitary is built, about 1 KiB per spawned
-    shot generator, and the count and feature matrices.  Both add 256 KiB for
-    the interpreter's own small objects.
+    backend's draws copy three times more.  Trajectory: the ``(rows, T,
+    n_mem)`` uniform block of one chunk of ``min(CHUNK, n_shots)`` rows,
+    then the larger of about 1 KiB per spawned shot generator and the
+    chunk's step arrays (the collapse workspace of
+    :func:`swapqrn.channel.collapse_workspace_bytes`, the embedded and the
+    ground batch, and 64 B per row for the collapse's row-length values),
+    which never coexist; a chunk's arrays are dropped before the next chunk
+    allocates.  Then the ``dim x dim`` collapse tables (complex
+    coefficients, int64 sources), up to four ``dim x dim`` complex arrays
+    while a step's unitary is built, and the count and feature matrices.
+    Both add 256 KiB for the interpreter's own small objects.
     """
     dim = 2 ** cfg.n_mem
     if cfg.backend == "trajectory":
         rows = min(CHUNK, cfg.n_shots)
-        need = (collapse_workspace_bytes(rows, cfg.n_mem) + 16 * rows * dim
-                + 8 * rows * n_steps * cfg.n_mem + 24 * dim * dim
-                + 4 * 16 * dim * dim + 1024 * rows + 2 * 8 * n_steps * dim)
+        step_arrays = (collapse_workspace_bytes(rows, cfg.n_mem)
+                       + 2 * 16 * rows * dim + 64 * rows)
+        need = (8 * rows * n_steps * cfg.n_mem + max(1024 * rows, step_arrays)
+                + 24 * dim * dim + 4 * 16 * dim * dim + 2 * 8 * n_steps * dim)
     else:
         held = 5 if cfg.n_repeats > 1 else 4
         copies = 4 if cfg.backend == "sampled" else 1
@@ -227,10 +237,10 @@ def run_trajectories(u, weights, cfg, rng):
     :func:`swapqrn.channel.collapse` never mixes rows, so results do not
     depend on the batch size ``CHUNK`` and single-shot streams are
     bit-reproducible.  The collapse tables and the CRZ diagonal are built
-    once per run.  One workspace of ``min(CHUNK, n_shots)`` rows (the
-    embedded batch, the collapse buffers and the uniform block) is allocated
-    once and its first rows serve every chunk, so the step loop allocates
-    nothing of the batch's size.
+    once per run.  Each chunk of up to ``CHUNK`` shots allocates its own
+    arrays once (the uniform block, the collapse workspace, the embedded
+    batch and the ground batch), so the step loop allocates nothing of the
+    batch's size, and drops them before the next chunk allocates.
     """
     _check_weights(weights, cfg)
     if cfg.n_shots is None:
@@ -242,32 +252,26 @@ def run_trajectories(u, weights, cfg, rng):
     p = damping_probability(cfg.gamma)
     coef, src = collapse_tables(cfg.gamma, n_mem)
     crz = crz_ring_diagonal(weights.w_hidden)
-    rows = min(CHUNK, cfg.n_shots)
-    ws = collapse_workspace(rows, n_mem)
-    embedded = np.empty((rows, dim), dtype=complex)
-    block = np.empty((rows, n_steps, n_mem))
 
     counts = np.zeros((n_steps, dim), dtype=np.int64)
-    done = 0
-    while done < cfg.n_shots:
+    for done in range(0, cfg.n_shots, CHUNK):
         m = min(CHUNK, cfg.n_shots - done)
-        uniforms = block[:m]
+        uniforms = np.empty((m, n_steps, n_mem))
         for k, child in enumerate(rng.spawn(m)):
             child.random(out=uniforms[k])
-        # the ground batch, in the buffer every collapse returns its states in
-        states = ws["out"][:m * dim].reshape(m, dim)
-        states.fill(0.0)
+        ws = collapse_workspace(m, n_mem)
+        embedded = np.empty((m, dim), dtype=complex)
+        states = np.zeros((m, dim), dtype=complex)
         states[:, 0] = 1.0
         for t in range(n_steps):  # one unitary at a time, never all T
             theta = compute_angles(context_window(u, t, cfg.c), weights)
             unitary = crz[:, None] * kron_layer(rotation_stack(theta))
             if cfg.n_repeats > 1:  # embedding_unitary, with crz built once
                 unitary = np.linalg.matrix_power(unitary, cfg.n_repeats)
-            np.matmul(states, unitary.T, out=embedded[:m])
-            states, bits = collapse(embedded[:m], uniforms[:, t], p, coef,
-                                    src, ws)
+            np.matmul(states, unitary.T, out=embedded)
+            states, bits = collapse(embedded, uniforms[:, t], p, coef, src, ws)
             counts[t] += np.bincount(bits, minlength=dim)
-        done += m
+        del uniforms, ws, embedded, states  # before the next chunk allocates
     return counts / cfg.n_shots
 
 

@@ -152,6 +152,16 @@ class TestSweepGrid:
             cli.parse_config(config_path=path, flag_overrides=flags)
         assert str(err.value).startswith(f"sweep.{axis}: ")
 
+    @pytest.mark.parametrize("axis, flag", [
+        ("gamma", "--gamma-grid=0.25,0.5"), ("n_repeats", "--n-repeats-grid=1,3")])
+    def test_esn_grid_refuses_unused_axis(self, tmp_path, capsys, axis, flag):
+        out = tmp_path / "out"
+        code = cli.main(["sweep", "--task", "esn-baseline", "--n-qubits-grid",
+                         "2,4", flag, "--outdir", str(out)])
+        assert code == 2
+        assert f"sweep.{axis}: " in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRunVerb:
 

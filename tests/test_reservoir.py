@@ -59,6 +59,21 @@ class TestReservoirConfig:
         with pytest.raises(ValueError):
             ReservoirConfig(n_qubits=4, gamma=0.5, backend="magic")
 
+    @pytest.mark.parametrize("field,value", [
+        ("n_qubits", 4.0), ("n_qubits", True), ("n_qubits", "4"),
+        ("n_repeats", 1.5), ("n_repeats", np.float64(2.0)), ("c", True),
+        ("c", np.bool_(True)), ("n_shots", 2.5), ("n_shots", False)])
+    def test_rejects_non_integer_sizes(self, field, value):
+        kwargs = dict(n_qubits=4, gamma=0.5, backend="sampled", n_shots=10)
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            ReservoirConfig(**{**kwargs, field: value})
+
+    def test_numpy_integer_sizes_accepted(self):
+        cfg = ReservoirConfig(n_qubits=np.int64(4), gamma=0.5,
+                              n_repeats=np.int32(2), c=np.uint8(3),
+                              backend="trajectory", n_shots=np.int64(5))
+        assert cfg.n_mem == 2
+
 
 class TestStep:
 
@@ -179,9 +194,13 @@ class TestMemoryCheck:
             4 * 16 * 16 + 8 * 16 + 4 * 8 * 10 * 4 + 2 ** 18)
         traj = replace(cfg, backend="trajectory", n_shots=CHUNK + 1)
         assert check_memory(traj, 10) == (
-            collapse_workspace_bytes(CHUNK, 2) + 16 * CHUNK * 4
-            + 8 * CHUNK * 10 * 2 + 24 * 16 + 4 * 16 * 16 + 1024 * CHUNK
+            8 * CHUNK * 10 * 2 + 1024 * CHUNK + 24 * 16 + 4 * 16 * 16
             + 2 * 8 * 10 * 4 + 2 ** 18)
+        wide = replace(traj, n_qubits=12)  # the step arrays outgrow 1 KiB/row
+        assert check_memory(wide, 10) == (
+            8 * CHUNK * 10 * 6 + collapse_workspace_bytes(CHUNK, 6)
+            + 2 * 16 * CHUNK * 64 + 64 * CHUNK + 24 * 64 ** 2
+            + 4 * 16 * 64 ** 2 + 2 * 8 * 10 * 64 + 2 ** 18)
 
     @pytest.mark.parametrize("m,n", [(1, 1), (7, 3), (50, 6)])
     def test_workspace_bytes_match_allocation(self, m, n):
@@ -189,10 +208,20 @@ class TestMemoryCheck:
         assert collapse_workspace_bytes(m, n) == sum(b.nbytes for b in ws.values())
 
     @pytest.mark.parametrize("n_repeats", [1, 3])
-    @pytest.mark.parametrize("n_qubits,backend", [
-        (12, "exact"), (16, "exact"), (12, "sampled"),
-        (8, "trajectory"), (12, "trajectory")])
-    def test_traced_peak_within_estimate(self, n_qubits, backend, n_repeats):
+    @pytest.mark.parametrize("n_qubits,backend,chunk", [
+        pytest.param(12, "exact", CHUNK, id="12-exact"),
+        pytest.param(16, "exact", CHUNK, id="16-exact"),
+        pytest.param(12, "sampled", CHUNK, id="12-sampled"),
+        pytest.param(8, "trajectory", CHUNK, id="8-trajectory"),
+        pytest.param(12, "trajectory", CHUNK, id="12-trajectory"),
+        pytest.param(8, "trajectory", 128, id="8-trajectory-chunk128"),
+        pytest.param(12, "trajectory", 128, id="12-trajectory-chunk128")])
+    def test_traced_peak_within_estimate(self, monkeypatch, n_qubits, backend,
+                                         chunk, n_repeats):
+        """At chunk 128 the 300 shots run as chunks of 128, 128 and 44, and
+        the estimate counts one chunk's arrays: a chunk loop that held two
+        chunks' arrays at once would exceed it."""
+        monkeypatch.setattr(reservoir, "CHUNK", chunk)
         cfg = ReservoirConfig(n_qubits=n_qubits, gamma=0.55,
                               n_repeats=n_repeats, backend=backend,
                               n_shots=None if backend == "exact" else 300)
@@ -398,8 +427,9 @@ class TestRunTrajectories:
         assert_allclose(a, b, rtol=0, atol=0)
 
 
-    def test_reused_workspace_matches_one_chunk(self, monkeypatch):
-        """Chunks of 16 rows and a last chunk of 2 share one workspace."""
+    def test_per_chunk_arrays_match_one_chunk(self, monkeypatch):
+        """Chunks of 16 rows and a last chunk of 2, each with arrays of its
+        own size, give the one-chunk result."""
         w = init_weights(4, c=2, n_mem=3)
         u = np.random.default_rng(6).random(12)
         cfg = ReservoirConfig(n_qubits=6, gamma=0.35, c=2, n_repeats=2,
@@ -415,8 +445,8 @@ class TestRunTrajectories:
     def test_step_loop_does_not_fault_per_step(self):
         """A fresh interpreter's 60-step, 4,000-shot run at 8 qubits takes few
         minor page faults: the workspace is touched once, not every step.
-        With fresh arrays every step it took 33,270-33,780; reusing one
-        workspace, about 3,190."""
+        With fresh arrays every step it took 33,270-33,780; with one
+        workspace per chunk, 3,414-3,925."""
         src = os.path.dirname(os.path.dirname(reservoir.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src, os.environ.get("PYTHONPATH", "")]))
