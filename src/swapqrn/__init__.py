@@ -14,7 +14,6 @@ from .embedding import (
 from .reservoir import (
     ReservoirConfig, step, run_exact, run_sampled, run_trajectories,
     run_features, bitstring_labels, features_to_csv, features_from_csv,
-    features_to_json, features_from_json,
 )
 from .readout import (
     RidgeModel, Metrics, ridge_fit, predict, r_squared, rmse, mean_rmse_short,
@@ -35,7 +34,6 @@ __all__ = [
     "ring_edges", "embedding_unitary",
     "ReservoirConfig", "step", "run_exact", "run_sampled", "run_trajectories",
     "run_features", "bitstring_labels", "features_to_csv", "features_from_csv",
-    "features_to_json", "features_from_json",
     "RidgeModel", "Metrics", "ridge_fit", "predict", "r_squared", "rmse",
     "mean_rmse_short",
     "StmcSpec", "NarmaSpec", "EsnConfig", "StmcResult", "NarmaResult",

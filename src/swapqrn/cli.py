@@ -177,15 +177,13 @@ def parse_config(task=None, config_path=None, flag_overrides=None):
     task_values = _section_values(parser, "task", _TASK_SCHEMA[task])
     sweep_values = _section_values(parser, "sweep", _SWEEP_SCHEMA)
 
-    for key in _RESERVOIR_SCHEMA:
-        if flags.get(key) is not None:
-            reservoir_values[key] = flags[key]
-    if flags.get("seed") is not None:
-        task_values["seed"] = flags["seed"]
-    if flags.get("alpha") is not None:
-        task_values["alpha"] = flags["alpha"]
-    if flags.get("n_esn_seeds") is not None and task == "esn-baseline":
-        task_values["n_esn_seeds"] = flags["n_esn_seeds"]
+    for values, schema in ((reservoir_values, _RESERVOIR_SCHEMA),
+                           (task_values, _TASK_SCHEMA[task])):
+        values.update((k, flags[k]) for k in schema if flags.get(k) is not None)
+    foreign = [k for schema in _TASK_SCHEMA.values() for k in schema
+               if k not in _TASK_SCHEMA[task] and flags.get(k) is not None]
+    if foreign:
+        raise ConfigError(f"--{foreign[0].replace('_', '-')} does not apply to {task}")
     for axis, kind in _SWEEP_SCHEMA.items():
         raw = flags.get(f"{axis}_grid")
         if raw is not None:
@@ -227,16 +225,13 @@ def parse_config(task=None, config_path=None, flag_overrides=None):
 
 def sweep_points(cfg):
     """Enumerate the sweep grid in deterministic order (index = position)."""
-    sweep = cfg.sweep or {}
-    if cfg.task == "esn-baseline":
-        sizes = sweep.get("n_qubits", DEFAULT_NQUBITS_GRID)
-        return [SweepPoint(i, n, cfg.reservoir.gamma, cfg.reservoir.n_repeats)
-                for i, n in enumerate(sizes)]
-    default_sizes = (DEFAULT_NQUBITS_GRID if cfg.task == "stmc"
-                     else (cfg.reservoir.n_qubits,))
-    sizes = sweep.get("n_qubits", default_sizes)
-    gammas = sweep.get("gamma", DEFAULT_GAMMA_GRID)
-    repeats = sweep.get("n_repeats", DEFAULT_NREPEATS_GRID)
+    sweep, rc = cfg.sweep or {}, cfg.reservoir
+    esn = cfg.task == "esn-baseline"
+    sizes = sweep.get("n_qubits", (rc.n_qubits,) if cfg.task == "narma5"
+                      else DEFAULT_NQUBITS_GRID)
+    gammas = sweep.get("gamma", (rc.gamma,) if esn else DEFAULT_GAMMA_GRID)
+    repeats = sweep.get("n_repeats",
+                        (rc.n_repeats,) if esn else DEFAULT_NREPEATS_GRID)
     return [SweepPoint(i, n, g, r)
             for i, (n, g, r) in enumerate(product(sizes, gammas, repeats))]
 

@@ -21,9 +21,8 @@ Three backends produce the feature matrix:
 """
 
 import csv
-import json
 import os
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,6 +37,13 @@ from .embedding import (context_window, compute_angles, crz_ring_diagonal,
 BACKENDS = ("exact", "sampled", "trajectory")
 CHUNK = 4096  # shots per trajectory batch
 HEALTH_TOL = 1e-10  # largest trace drift or Hermiticity residual accepted
+
+
+def check_seed(seed):
+    """A seed for ``np.random.default_rng``: a non-negative integer."""
+    if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
+            or seed < 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -72,6 +78,7 @@ class ReservoirConfig:
             raise ValueError(f"n_repeats must be >= 1, got {self.n_repeats}")
         if self.c < 1:
             raise ValueError(f"context length c must be >= 1, got {self.c}")
+        check_seed(self.seed)
         if self.backend not in BACKENDS:
             raise ValueError(
                 f"backend must be one of {BACKENDS}, got {self.backend!r}")
@@ -308,24 +315,3 @@ def features_from_csv(path):
         next(reader)
         rows = [[float(x) for x in line[1:]] for line in reader]
     return np.asarray(rows)
-
-
-def features_to_json(path, features, cfg):
-    """Write a feature matrix plus its generating config as JSON."""
-    features = np.asarray(features)
-    n_mem = features.shape[1].bit_length() - 1
-    payload = {
-        "config": asdict(cfg),
-        "bitstrings": bitstring_labels(n_mem),
-        "features": features.tolist(),
-    }
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-
-
-def features_from_json(path):
-    """Return (features, config dict) from :func:`features_to_json` output."""
-    with open(path) as handle:
-        payload = json.load(handle)
-    return np.asarray(payload["features"]), payload["config"]

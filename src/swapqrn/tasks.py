@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedding import init_weights
-from .reservoir import run_features
+from .reservoir import check_seed, run_features
 from .readout import (
     SHORT_DELAYS, Metrics, ridge_fit, predict, r_squared, rmse, mean_rmse_short,
 )
@@ -38,6 +38,7 @@ class StmcSpec:
             raise ValueError("delays must be <= 0")
         if min(self.n_total, self.n_train, self.n_test) < 1 or self.n_washout < 0:
             raise ValueError("counts must be positive (washout may be 0)")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -58,6 +59,7 @@ class NarmaSpec:
     def __post_init__(self):
         if min(self.n_total, self.n_train, self.n_test) < 1 or self.n_washout < 0:
             raise ValueError("counts must be positive (washout may be 0)")
+        check_seed(self.seed)
         if self.n_washout >= self.n_train:
             raise ValueError("washout must leave training samples")
 
@@ -79,6 +81,7 @@ class EsnConfig:
         if self.spectral_radius <= 0.0:
             raise ValueError(
                 f"spectral_radius must be > 0, got {self.spectral_radius}")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)

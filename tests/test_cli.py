@@ -2,9 +2,11 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from swapqrn import cli
 
@@ -71,6 +73,33 @@ class TestParseConfig:
         cfg = cli.parse_config(config_path=write_config(tmp_path, TINY_STMC),
                                flag_overrides={"gamma": 0.7})
         assert cfg.reservoir.gamma == 0.7
+
+    @pytest.mark.parametrize("task", cli.TASKS)
+    def test_seed_and_alpha_flags_reach_task(self, task):
+        """--seed sets both the weight seed and the data seed."""
+        cfg = cli.parse_config(task=task,
+                               flag_overrides={"seed": 7, "alpha": 0.25})
+        assert cfg.reservoir.seed == cfg.task_spec.seed == 7
+        assert cfg.task_spec.alpha == 0.25
+
+    @pytest.mark.parametrize("task", ["stmc", "narma5"])
+    def test_flag_of_another_task_rejected(self, tmp_path, capsys, task):
+        out = tmp_path / "out"
+        code = cli.main(["run", "--task", task, "--n-esn-seeds", "3",
+                         "--outdir", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"config error: --n-esn-seeds does not apply to {task}\n")
+        assert not out.exists()
+
+    def test_negative_seed_rejected_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        code = cli.main(["run", "--task", "narma5", "--n-qubits", "2",
+                         "--seed", "-1", "--outdir", str(out)])
+        assert code == 2
+        assert "seed must be a non-negative integer" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_out_of_range_gamma_names_key(self, tmp_path):
         path = write_config(tmp_path, "[reservoir]\ngamma = 1.5\n")
@@ -161,6 +190,41 @@ class TestSweepGrid:
         assert code == 2
         assert f"sweep.{axis}: " in capsys.readouterr().err
         assert not out.exists()
+
+
+HASHED_CONFIG = {
+    "experiment": ["task = narma5", "outdir = out"],
+    "reservoir": ["n_qubits = 4", "gamma = 0.5", "n_repeats = 2", "c = 3",
+                  "seed = 7"],
+    "task": ["n_total = 120", "n_train = 60", "n_test = 30",
+             "n_washout = 10", "alpha = 0.001"],
+    "sweep": ["gamma = 0.25, 0.5", "n_repeats = 1, 2"],
+}
+
+
+def manifest_hash_line(sections):
+    """The ``config_sha256`` MANIFEST line of an INI file laid out as the
+    given ``(section, lines)`` pairs."""
+    text = "".join(f"[{name}]\n" + "\n".join(lines) + "\n\n"
+                   for name, lines in sections)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "exp.ini")
+        with open(path, "w") as handle:
+            handle.write(text)
+        cli._write_manifest(tmp, cli.parse_config(config_path=path), [])
+        with open(os.path.join(tmp, "MANIFEST")) as handle:
+            lines = handle.read().splitlines()
+    return next(line for line in lines if line.startswith("config_sha256 "))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_config_hash_ignores_key_order(data):
+    names = data.draw(st.permutations(list(HASHED_CONFIG)))
+    shuffled = [(name, data.draw(st.permutations(HASHED_CONFIG[name])))
+                for name in names]
+    assert (manifest_hash_line(shuffled)
+            == manifest_hash_line(HASHED_CONFIG.items()))
 
 
 class TestRunVerb:

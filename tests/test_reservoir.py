@@ -20,7 +20,7 @@ from swapqrn.embedding import (
 from swapqrn.reservoir import (
     CHUNK, ReservoirConfig, check_memory, step, run_exact, run_sampled,
     run_trajectories, run_features, bitstring_labels, features_to_csv,
-    features_from_csv, features_to_json, features_from_json,
+    features_from_csv,
 )
 
 import oracles
@@ -479,15 +479,3 @@ class TestFeatureSerialization:
         assert header == "t,00,01,10,11"
         back = features_from_csv(path)
         assert_allclose(back, rows, rtol=0, atol=0)
-
-    def test_json_round_trip_with_config_echo(self, tmp_path):
-        cfg = ReservoirConfig(n_qubits=4, gamma=0.25, n_repeats=2, c=3,
-                              n_shots=500, backend="sampled", seed=9)
-        rows = np.random.default_rng(1).random((5, 4))
-        path = tmp_path / "features.json"
-        features_to_json(path, rows, cfg)
-        back, echo = features_from_json(path)
-        assert_allclose(back, rows, rtol=0, atol=0)
-        assert echo["n_qubits"] == 4
-        assert echo["gamma"] == 0.25
-        assert echo["backend"] == "sampled"

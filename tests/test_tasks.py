@@ -38,6 +38,24 @@ class TestGenUniform:
             gen_uniform(0, 10, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("cls, kwargs", [
+    (ReservoirConfig, dict(n_qubits=4, gamma=0.5)), (StmcSpec, {}),
+    (NarmaSpec, {}), (EsnConfig, dict(n_nodes=2))])
+class TestSeedValidation:
+    """Every seed reaches ``np.random.default_rng``, which takes only
+    non-negative integers."""
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, np.float64(2.0), "3"])
+    def test_rejects_bad_seed(self, cls, kwargs, seed):
+        with pytest.raises(ValueError,
+                           match="^seed must be a non-negative integer"):
+            cls(**kwargs, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, np.int64(7)])
+    def test_accepts_non_negative_integer(self, cls, kwargs, seed):
+        assert cls(**kwargs, seed=seed).seed == seed
+
+
 class TestNarma5:
 
     def test_oracle_hand_values_on_zero_input(self):
