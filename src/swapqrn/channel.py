@@ -30,17 +30,22 @@ def ground_state(n_qubits: int) -> np.ndarray:
     return rho
 
 
-def damping_transfer(rho: np.ndarray, p: float) -> None:
+def damping_transfer(rho: np.ndarray, p: float, buf=None) -> None:
     """Add p rho[..1.., ..1..] into rho[..0.., ..0..] for each qubit, in place.
 
     These are the transfer halves of every qubit's damping; they commute with
-    every qubit's scaling, so all of them may run before any scaling.
+    every qubit's scaling, so all of them may run before any scaling.  Every
+    qubit's p rho[..1.., ..1..] goes through ``buf``, a complex buffer of a
+    quarter of rho's entries, allocated here when not given.
     """
     n = n_qubits_of(rho.shape[0])
+    if buf is None:
+        buf = np.empty(rho.size // 4, dtype=complex)
     for q in range(n):
         hi, lo = 1 << (n - 1 - q), 1 << q
         t = rho.reshape(hi, 2, lo, hi, 2, lo)
-        t[:, 0, :, :, 0] += p * t[:, 1, :, :, 1]
+        t[:, 0, :, :, 0] += np.multiply(p, t[:, 1, :, :, 1],
+                                        out=buf.reshape(hi, lo, hi, lo))
 
 
 def damping_scale(rho: np.ndarray, a: complex) -> None:
@@ -69,15 +74,27 @@ def damping_channel(rho: np.ndarray, gamma: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=128)
-def _povm_diagonal_matrix(gamma: float, n: int) -> np.ndarray:
-    # outcome POVM elements are diagonal: E_0 = diag(1, 1-p), E_1 = diag(0, p)
-    # per qubit, so p(b) needs only diag(rho); w[b_j, m_j] collects the factors
+def povm_matrix(gamma: float, n: int) -> np.ndarray:
+    """The matrix that maps diag(rho) on n qubits to the outcome distribution.
+
+    Outcome POVM elements are diagonal: E_0 = diag(1, 1-p), E_1 = diag(0, p)
+    per qubit, so p(b) needs only diag(rho); w[b_j, m_j] collects the factors.
+    """
     p = damping_probability(gamma)
     w = np.array([[1.0, 1.0 - p], [0.0, p]])
     m = w
     for _ in range(n - 1):
         m = np.kron(m, w)
     return m
+
+
+def outcome_row(rho: np.ndarray, povm: np.ndarray) -> np.ndarray:
+    """``povm`` (a :func:`povm_matrix`) applied to diag(rho), whose entries
+    below -1e-10 raise ``ValueError`` and above it are clipped at 0."""
+    d = rho.diagonal().real
+    if d.min() < -1e-10:
+        raise ValueError(f"density matrix has negative population {d.min():.3e}")
+    return povm @ np.maximum(d, 0.0)
 
 
 def outcome_distribution(rho: np.ndarray, gamma: float) -> np.ndarray:
@@ -88,12 +105,7 @@ def outcome_distribution(rho: np.ndarray, gamma: float) -> np.ndarray:
     """
     gamma = check_gamma(gamma)
     rho = np.asarray(rho)
-    n = n_qubits_of(rho.shape[0])
-    d = np.diagonal(rho).real
-    if d.min() < -1e-10:
-        raise ValueError(f"density matrix has negative population {d.min():.3e}")
-    dist = _povm_diagonal_matrix(float(gamma), n) @ np.clip(d, 0.0, None)
-    return dist
+    return outcome_row(rho, povm_matrix(gamma, n_qubits_of(rho.shape[0])))
 
 
 def purity(rho: np.ndarray) -> float:

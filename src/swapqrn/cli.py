@@ -516,8 +516,12 @@ def cmd_sweep(cfg, workers):
         records.append(record)
 
     if workers > 1:
+        # longest first (an estimate of each point's work), so that no long
+        # point starts last; records are merged by index, not by finish
+        longest = sorted(points, reverse=True, key=lambda p: (
+            4 ** (p.n_qubits // 2) * p.n_repeats * cfg.task_spec.n_total))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(_execute_point, cfg, p): p for p in points}
+            futures = {pool.submit(_execute_point, cfg, p): p for p in longest}
             for future in as_completed(futures):
                 try:
                     record = future.result()

@@ -63,6 +63,16 @@ def compute_angles(x: np.ndarray, weights: EmbeddingWeights) -> np.ndarray:
     return np.einsum("i,ijk->jk", x, weights.w_in) + weights.w_bias
 
 
+def series_angles(u: np.ndarray, weights: EmbeddingWeights) -> np.ndarray:
+    """Every step's ``compute_angles(context_window(u, t, c), weights)`` as one
+    (T, n_mem, 3) array, with the same per-entry sums."""
+    u = np.asarray(u, dtype=float)
+    c = weights.c
+    padded = np.concatenate([np.zeros(c - 1), u])
+    windows = padded[np.arange(len(u))[:, None] + (c - 1) - np.arange(c)]
+    return np.einsum("ti,ijk->tjk", windows, weights.w_in) + weights.w_bias
+
+
 def ring_edges(n_mem: int) -> list[tuple[int, int]]:
     """CRZ ring (control, target) pairs; none for one qubit, one edge for two."""
     if n_mem == 1:
@@ -73,25 +83,31 @@ def ring_edges(n_mem: int) -> list[tuple[int, int]]:
 
 
 def rotation_stack(theta: np.ndarray) -> np.ndarray:
-    """Per-qubit rotations rx(Th_j1) ry(Th_j2) rx(Th_j3) as an (n_mem, 2, 2) stack."""
+    """Per-qubit rotations rx(Th_j1) ry(Th_j2) rx(Th_j3) as an (..., n_mem, 2, 2)
+    stack; leading axes of ``theta`` (..., n_mem, 3), such as a step axis,
+    carry through entry by entry."""
     theta = np.asarray(theta, dtype=float)
     if not np.isfinite(theta).all():
         raise ValueError(f"rotation angles must be finite, got {theta}")
     c, s = np.cos(theta / 2), np.sin(theta / 2)
-    # gates[j] holds qubit j's factors rx(Th_j1), ry(Th_j2), rx(Th_j3)
+    # gates[..., j, :] holds qubit j's factors rx(Th_j1), ry(Th_j2), rx(Th_j3)
     gates = np.empty(theta.shape + (2, 2), dtype=complex)
     gates[..., 0, 0] = gates[..., 1, 1] = c
-    gates[:, 0::2, 0, 1] = gates[:, 0::2, 1, 0] = -1j * s[:, 0::2]
-    gates[:, 1, 0, 1] = -s[:, 1]
-    gates[:, 1, 1, 0] = s[:, 1]
-    return gates[:, 0] @ gates[:, 1] @ gates[:, 2]
+    gates[..., 0::2, 0, 1] = gates[..., 0::2, 1, 0] = -1j * s[..., 0::2]
+    gates[..., 1, 0, 1] = -s[..., 1]
+    gates[..., 1, 1, 0] = s[..., 1]
+    return gates[..., 0, :, :] @ gates[..., 1, :, :] @ gates[..., 2, :, :]
 
 
 def kron_layer(rotations: np.ndarray) -> np.ndarray:
-    """Kronecker product of per-qubit gates, qubit 0 as the least significant bit."""
-    out = np.ones((1, 1), dtype=complex)
-    for g in rotations[::-1]:  # out (x) g, one product per entry as in np.kron
-        out = (out[:, None, :, None] * g[:, None, :]).reshape(2 * len(out), -1)
+    """Kronecker product of per-qubit gates (..., n, 2, 2), qubit 0 as the
+    least significant bit; leading axes carry through."""
+    out = np.ones(rotations.shape[:-3] + (1, 1), dtype=complex)
+    for q in range(rotations.shape[-3] - 1, -1, -1):
+        # out (x) g, one product per entry as in np.kron
+        g = rotations[..., q, None, :, None, :]
+        out = (out[..., :, None, :, None] * g).reshape(
+            out.shape[:-2] + (2 * out.shape[-2], -1))
     return out
 
 

@@ -29,10 +29,10 @@ import numpy as np
 from .gates import check_gamma, damping_probability, swap_coefficients
 from .channel import (
     collapse, collapse_tables, collapse_workspace, collapse_workspace_bytes,
-    damping_scale, damping_transfer, ground_state, outcome_distribution,
+    damping_scale, damping_transfer, ground_state, outcome_row, povm_matrix,
 )
-from .embedding import (context_window, compute_angles, crz_ring_diagonal,
-                        kron_layer, rotation_stack)
+from .embedding import (compute_angles, crz_ring_diagonal, kron_layer,
+                        rotation_stack, series_angles)
 
 BACKENDS = ("exact", "sampled", "trajectory")
 CHUNK = 4096  # shots per trajectory batch
@@ -106,34 +106,42 @@ def check_memory(cfg, n_steps):
     """Bytes a run of ``n_steps`` inputs needs, estimated before anything is
     allocated; raises ``ValueError`` when that exceeds physical memory.
 
-    Exact and sampled: :func:`_kernel_step` holds up to four arrays of
-    rho's 16 * 4**n_mem B at once (the held rho, a rotated copy and the
-    matmul pair that replaces it), five at n_repeats > 1, where the caller's
-    rho outlives the first repeat; then the cached ``dim x dim`` POVM matrix
-    of 8 * 4**n_mem B and the ``(T, dim)`` feature matrix, which the sampled
-    backend's draws copy three times more.  Trajectory: the ``(rows, T,
-    n_mem)`` uniform block of one chunk of ``min(CHUNK, n_shots)`` rows,
-    then the larger of about 1 KiB per spawned shot generator and the
-    chunk's step arrays (the collapse workspace of
-    :func:`swapqrn.channel.collapse_workspace_bytes`, the embedded and the
-    ground batch, and 64 B per row for the collapse's row-length values),
-    which never coexist; a chunk's arrays are dropped before the next chunk
-    allocates.  Then the ``dim x dim`` collapse tables (complex
-    coefficients, int64 sources), up to four ``dim x dim`` complex arrays
-    while a step's unitary is built, and the count and feature matrices.
-    Both add 256 KiB for the interpreter's own small objects.
+    Both backends first build every step's rotations at once: the
+    ``(T, n_mem, 3, 2, 2)`` complex factors and the ``(T, n_mem, 2, 2)``
+    stack, 256 B per step and qubit.  Exact and sampled: three arrays of
+    rho's 16 * 4**n_mem B (the held rho and the two work buffers of
+    :func:`_kernel_step`; the final Hermiticity check holds as many), the
+    two 8,192-entry complex buffers, 256 KiB, of numpy's buffered strided
+    passes in the transfer, the :func:`_gate_pairs` stacks,
+    T * (d_hi**2 + d_lo**2) * 16 B per pair and two pairs at n_repeats > 1,
+    the cached ``dim x dim`` POVM matrix of 8 * 4**n_mem B and the
+    ``(T, dim)`` feature matrix, which the sampled backend's draws copy
+    three times more.  Trajectory: the ``(rows, T, n_mem)`` uniform
+    block of one chunk of ``min(CHUNK, n_shots)`` rows, then the larger of
+    about 1 KiB per spawned shot generator and the chunk's step arrays (the
+    collapse workspace of :func:`swapqrn.channel.collapse_workspace_bytes`,
+    the embedded and the ground batch, and 64 B per row for the collapse's
+    row-length values), which never coexist; a chunk's arrays are dropped
+    before the next chunk allocates.  Then the ``dim x dim`` collapse tables
+    (complex coefficients, int64 sources), up to four ``dim x dim`` complex
+    arrays while a step's unitary is built, and the count and feature
+    matrices.  Both add 256 KiB for the interpreter's own small objects.
     """
-    dim = 2 ** cfg.n_mem
+    n_mem, dim = cfg.n_mem, 2 ** cfg.n_mem
+    need = 256 * n_steps * n_mem
     if cfg.backend == "trajectory":
         rows = min(CHUNK, cfg.n_shots)
-        step_arrays = (collapse_workspace_bytes(rows, cfg.n_mem)
+        step_arrays = (collapse_workspace_bytes(rows, n_mem)
                        + 2 * 16 * rows * dim + 64 * rows)
-        need = (8 * rows * n_steps * cfg.n_mem + max(1024 * rows, step_arrays)
-                + 24 * dim * dim + 4 * 16 * dim * dim + 2 * 8 * n_steps * dim)
+        need += (8 * rows * n_steps * n_mem + max(1024 * rows, step_arrays)
+                 + 24 * dim * dim + 4 * 16 * dim * dim + 2 * 8 * n_steps * dim)
     else:
-        held = 5 if cfg.n_repeats > 1 else 4
+        pairs = 2 if cfg.n_repeats > 1 else 1
+        d_lo = 2 ** (n_mem // 2)
         copies = 4 if cfg.backend == "sampled" else 1
-        need = held * 16 * dim * dim + 8 * dim * dim + copies * 8 * n_steps * dim
+        need += (3 * 16 * dim * dim + 2 ** 18
+                 + pairs * 16 * n_steps * ((dim // d_lo) ** 2 + d_lo ** 2)
+                 + 8 * dim * dim + copies * 8 * n_steps * dim)
     need += 2 ** 18
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
@@ -144,34 +152,65 @@ def check_memory(cfg, n_steps):
     return need
 
 
-def _kernel_step(rho, theta, crz, cfg, fold):
-    """One step without forming U, on a rho the caller hands over; returns
-    (T(rho_emb), readout row of rho_emb), where T is the damping transfer.
-
-    The rotation layer R = R_hi (x) R_lo acts on the rows, then the columns of
-    rho by matmul on reshaped views, and the CRZ ring, whose diagonal is
-    ``crz``, scales rows and columns.  ``fold`` is the damping factor A whose
-    scaling S = (x)_q diag(1, A) the previous step left out of rho: the first
-    repeat applies R S, which is R with column 1 of every 2x2 gate times A.
-    """
-    rots = rotation_stack(theta)
-    n_lo = len(rots) // 2  # qubits in the low half of the register
-    dim = len(rho)
+def _gate_pairs(rots, fold, n_repeats):
+    """The (hi, lo) Kronecker blocks of the rotation layer R = R_hi (x) R_lo
+    for rotations ``rots`` (..., n_mem, 2, 2), leading axes carried through:
+    first of R S, where ``fold`` is the damping factor A of
+    S = (x)_q diag(1, A) (column 1 of every 2x2 gate times A), then, only at
+    ``n_repeats`` > 1, of R itself."""
+    n_lo = rots.shape[-3] // 2  # qubits in the low half of the register
     gates = rots * [1.0, fold]
-    for k in range(cfg.n_repeats):
-        if k < 2:  # repeat 0 applies R S, every later repeat the same R
-            r_hi, r_lo = kron_layer(gates[n_lo:]), kron_layer(gates[:n_lo])
+    pairs = (kron_layer(gates[..., n_lo:, :, :]),
+             kron_layer(gates[..., :n_lo, :, :]))
+    if n_repeats > 1:
+        pairs += (kron_layer(rots[..., n_lo:, :, :]),
+                  kron_layer(rots[..., :n_lo, :, :]))
+    return pairs
+
+
+def _kernel_step(rho, work, gates, n_repeats, crz_col, crz_row, povm, p):
+    """One step without forming U, in place on the held rho; returns the
+    readout row of rho_emb and leaves T(rho_emb) in ``rho``, where T is the
+    damping transfer.
+
+    ``gates`` is the step's slice of :func:`_gate_pairs`: the first repeat
+    applies its folded pair, every later one the unfolded pair.  R acts on
+    the rows, then the columns of rho by matmul on reshaped views, and the
+    CRZ ring, with diagonal ``crz_col[:, 0]`` and its conjugate ``crz_row``,
+    scales rows and columns.  The products alternate between the two
+    rho-sized buffers of ``work`` and the last writes back into ``rho``, so
+    a step allocates nothing of rho's size; the transfer's quarter-size
+    buffer is the front of ``work[0]``.  ``povm`` is the
+    :func:`povm_matrix` and ``p`` the damping probability.
+    """
+    dim = len(rho)
+    w0, w1 = work
+    for k in range(n_repeats):
+        if k < 2:
+            r_hi, r_lo = gates[2 * k:2 * k + 2]
+            c_hi, c_lo = r_hi.conj(), r_lo.conj().T
             d_hi, d_lo = len(r_hi), len(r_lo)
-            gates = rots
-        x = r_lo @ rho.reshape(d_hi, d_lo, dim)
-        x = (r_hi @ x.reshape(d_hi, d_lo * dim)).reshape(dim * d_hi, d_lo)
-        x = r_hi.conj() @ (x @ r_lo.conj().T).reshape(dim, d_hi, d_lo)
-        rho = x.reshape(dim, dim)
-        rho *= crz[:, None]
-        rho *= crz.conj()
-    dist = outcome_distribution(rho, cfg.gamma)
-    damping_transfer(rho, damping_probability(cfg.gamma))
-    return rho, dist
+        x = np.matmul(r_lo, rho.reshape(d_hi, d_lo, dim),
+                      out=w0.reshape(d_hi, d_lo, dim))
+        y = np.matmul(r_hi, x.reshape(d_hi, d_lo * dim),
+                      out=w1.reshape(d_hi, d_lo * dim))
+        x = np.matmul(y.reshape(dim * d_hi, d_lo), c_lo,
+                      out=w0.reshape(dim * d_hi, d_lo))
+        np.matmul(c_hi, x.reshape(dim, d_hi, d_lo),
+                  out=rho.reshape(dim, d_hi, d_lo))
+        rho *= crz_col
+        rho *= crz_row
+    dist = outcome_row(rho, povm)
+    damping_transfer(rho, p, w0.reshape(-1)[:rho.size // 4])
+    return dist
+
+
+def _step_constants(weights, cfg):
+    """The arguments of :func:`_kernel_step` after ``n_repeats``: what no
+    step changes."""
+    crz = crz_ring_diagonal(weights.w_hidden)
+    return (crz[:, None], crz.conj(), povm_matrix(cfg.gamma, cfg.n_mem),
+            damping_probability(cfg.gamma))
 
 
 def step(rho, u_context, weights, cfg):
@@ -181,9 +220,11 @@ def step(rho, u_context, weights, cfg):
     the returned state has already passed through the damping channel and is
     ready for the next input.
     """
-    theta = compute_angles(u_context, weights)
-    crz = crz_ring_diagonal(weights.w_hidden)
-    state, dist = _kernel_step(np.asarray(rho), theta, crz, cfg, 1.0)
+    state = np.array(rho, dtype=complex)
+    rots = rotation_stack(compute_angles(u_context, weights))
+    dist = _kernel_step(state, np.empty((2,) + state.shape, complex),
+                        _gate_pairs(rots, 1.0, cfg.n_repeats), cfg.n_repeats,
+                        *_step_constants(weights, cfg))
     damping_scale(state, swap_coefficients(cfg.gamma)[0])
     return state, dist
 
@@ -197,25 +238,33 @@ def _check_health(name, value, t):
 def run_exact(u, weights, cfg):
     """Feature matrix (T, 2**n_mem) of exact readout distributions.
 
-    The held state is the transferred rho, with each step's damping scaling
-    folded into the next step's rotations.  It is checked, not repaired: the
-    trace drift |sum of row t - 1| every step (the POVM columns sum to 1) and
-    the Hermiticity residual max|rho - rho^+| of the final held state (the
+    Everything that does not read rho is built once per run before the step
+    loop: every step's angles and rotations at once, the :func:`_gate_pairs`
+    as (T, d, d) stacks, the :func:`_step_constants` and the two work
+    buffers of :func:`_kernel_step`.  The held state is
+    the transferred rho, with each step's damping scaling folded into the
+    next step's rotations.  It is checked, not repaired: the trace drift
+    |sum of row t - 1| every step (the POVM columns sum to 1) and the
+    Hermiticity residual max|rho - rho^+| of the final held state (the
     channel is trace-norm contractive, so the anti-Hermitian rounding part
     cannot grow between checks).  Either past ``HEALTH_TOL`` raises
-    ``FloatingPointError``.
+    ``FloatingPointError``.  The gate stacks and work buffers are released
+    before the final check allocates.
     """
     _check_weights(weights, cfg)
     u = np.asarray(u, dtype=float)
     check_memory(cfg, len(u))
     a, _ = swap_coefficients(cfg.gamma)
     rho = ground_state(cfg.n_mem)  # S |0><0| S^+ = |0><0|: folding A is exact
-    crz = crz_ring_diagonal(weights.w_hidden)  # once per run
+    stacks = _gate_pairs(rotation_stack(series_angles(u, weights)), a,
+                         cfg.n_repeats)
+    constants = _step_constants(weights, cfg)
+    work = np.empty((2,) + rho.shape, complex)
     features = np.empty((len(u), 2 ** cfg.n_mem))
-    for t in range(len(u)):
-        theta = compute_angles(context_window(u, t, cfg.c), weights)
-        rho, features[t] = _kernel_step(rho, theta, crz, cfg, a)
+    for t, gates in enumerate(zip(*stacks)):
+        features[t] = _kernel_step(rho, work, gates, cfg.n_repeats, *constants)
         _check_health("trace drift", abs(features[t].sum() - 1.0), t)
+    stacks = gates = work = None  # gates holds views into the stacks
     if len(u):
         _check_health("Hermiticity residual",
                       np.max(np.abs(rho - rho.conj().T)), len(u) - 1)
@@ -243,11 +292,13 @@ def run_trajectories(u, weights, cfg, rng):
     Each shot owns an independent child generator spawned from ``rng`` and
     :func:`swapqrn.channel.collapse` never mixes rows, so results do not
     depend on the batch size ``CHUNK`` and single-shot streams are
-    bit-reproducible.  The collapse tables and the CRZ diagonal are built
-    once per run.  Each chunk of up to ``CHUNK`` shots allocates its own
-    arrays once (the uniform block, the collapse workspace, the embedded
-    batch and the ground batch), so the step loop allocates nothing of the
-    batch's size, and drops them before the next chunk allocates.
+    bit-reproducible.  The collapse tables, the CRZ diagonal and every
+    step's rotations are built once per run; each step's unitary is built
+    from its rotations inside the loop.  Each chunk of up to ``CHUNK`` shots
+    allocates its own arrays once (the uniform block, the collapse
+    workspace, the embedded batch and the ground batch), so the step loop
+    allocates nothing of the batch's size, and drops them before the next
+    chunk allocates.
     """
     _check_weights(weights, cfg)
     if cfg.n_shots is None:
@@ -259,6 +310,7 @@ def run_trajectories(u, weights, cfg, rng):
     p = damping_probability(cfg.gamma)
     coef, src = collapse_tables(cfg.gamma, n_mem)
     crz = crz_ring_diagonal(weights.w_hidden)
+    rots = rotation_stack(series_angles(u, weights))
 
     counts = np.zeros((n_steps, dim), dtype=np.int64)
     for done in range(0, cfg.n_shots, CHUNK):
@@ -271,8 +323,7 @@ def run_trajectories(u, weights, cfg, rng):
         states = np.zeros((m, dim), dtype=complex)
         states[:, 0] = 1.0
         for t in range(n_steps):  # one unitary at a time, never all T
-            theta = compute_angles(context_window(u, t, cfg.c), weights)
-            unitary = crz[:, None] * kron_layer(rotation_stack(theta))
+            unitary = crz[:, None] * kron_layer(rots[t])
             if cfg.n_repeats > 1:  # embedding_unitary, with crz built once
                 unitary = np.linalg.matrix_power(unitary, cfg.n_repeats)
             np.matmul(states, unitary.T, out=embedded)

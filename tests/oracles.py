@@ -9,7 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from swapqrn.embedding import compute_angles, embedding_unitary
+from swapqrn.channel import ground_state
+from swapqrn.embedding import (compute_angles, context_window, crz_ring_diagonal,
+                               embedding_unitary, kron_layer, rotation_stack)
 from swapqrn.gates import check_gamma, damping_probability, swap_coefficients
 
 
@@ -215,6 +217,46 @@ def dense_step(rho, u_context, weights, cfg):
         bj, mj = (b >> j) & 1, (m >> j) & 1
         weight *= np.array([1.0, 1.0 - p, 0.0, p])[2 * bj + mj]
     return damping_moveaxis(rho_emb, cfg.gamma), weight @ diag
+
+
+def run_exact_per_step(u, weights, cfg):
+    """The exact recursion with every step's gates built inside the loop:
+    the angles, the rotation stack and both halves' Kronecker blocks per
+    step, the damping factor A folded into the first repeat's gates, the
+    factored products and CRZ multiplies, the outcome row from the clipped
+    diagonal, and a fresh temporary per qubit's transfer.  Its features are
+    the reference the per-run gate stacks of ``run_exact`` must equal bit for
+    bit."""
+    a, _ = swap_coefficients(cfg.gamma)
+    p = damping_probability(cfg.gamma)
+    rho = ground_state(cfg.n_mem)
+    crz = crz_ring_diagonal(weights.w_hidden)
+    n, dim = cfg.n_mem, 2 ** cfg.n_mem
+    povm = factor = np.array([[1.0, 1.0 - p], [0.0, p]])
+    for _ in range(n - 1):
+        povm = np.kron(povm, factor)
+    features = np.empty((len(u), dim))
+    for t in range(len(u)):
+        rots = rotation_stack(compute_angles(context_window(u, t, cfg.c),
+                                             weights))
+        gates = rots * [1.0, a]
+        for k in range(cfg.n_repeats):
+            if k < 2:  # repeat 0 applies R S, every later repeat the same R
+                r_hi, r_lo = kron_layer(gates[n // 2:]), kron_layer(gates[:n // 2])
+                d_hi, d_lo = len(r_hi), len(r_lo)
+                gates = rots
+            x = r_lo @ rho.reshape(d_hi, d_lo, dim)
+            x = (r_hi @ x.reshape(d_hi, d_lo * dim)).reshape(dim * d_hi, d_lo)
+            x = r_hi.conj() @ (x @ r_lo.conj().T).reshape(dim, d_hi, d_lo)
+            rho = x.reshape(dim, dim)
+            rho *= crz[:, None]
+            rho *= crz.conj()
+        features[t] = povm @ np.clip(np.diagonal(rho).real, 0.0, None)
+        for q in range(n):
+            view = rho.reshape(1 << (n - 1 - q), 2, 1 << q,
+                               1 << (n - 1 - q), 2, 1 << q)
+            view[:, 0, :, :, 0] += p * view[:, 1, :, :, 1]
+    return features
 
 
 # ---------------------------------------------------------------------------

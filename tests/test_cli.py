@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -303,6 +304,39 @@ class TestSweepVerb:
         for rec in a + b:
             rec.pop("wall_time_s")
         assert a == b
+
+    def test_pool_submits_longest_first(self, tmp_path, monkeypatch):
+        """Points go to the pool in decreasing 4**n_mem * n_repeats * n_total,
+        ties in index order; the records still come out in index order."""
+        submitted = []
+
+        class InlinePool:  # runs each point at submission, in this process
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, cfg, point):
+                submitted.append(point.index)
+                future = Future()
+                future.set_result(fn(cfg, point))
+                return future
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        path = write_config(tmp_path, TINY_STMC + (
+            "\n[sweep]\ngamma = 0.5, 1.0\nn_qubits = 2, 4\nn_repeats = 1, 2\n"))
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--config", path, "--outdir", str(out),
+                         "--workers", "2"]) == 0
+        # index = (n_qubits, gamma, n_repeats) in grid order; cost 4**n_mem * r
+        assert submitted == [5, 7, 4, 6, 1, 3, 0, 2]
+        records = json.loads((out / "records.json").read_text())["records"]
+        assert [r["point_index"] for r in records] == list(range(8))
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_rejected(self, tmp_path, capsys, workers):

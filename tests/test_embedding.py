@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 from swapqrn.embedding import (
     EmbeddingWeights, init_weights, context_window, compute_angles,
     ring_edges, embedding_unitary, rotation_stack, kron_layer,
-    crz_ring_diagonal,
+    crz_ring_diagonal, series_angles,
 )
 
 import oracles
@@ -178,6 +178,31 @@ class TestEmbeddingUnitary:
             assert np.array_equal(kron_layer(stack), dense)
             assert np.array_equal(embedding_unitary(theta, wh, 1),
                                   crz_ring_diagonal(wh)[:, None] * dense)
+
+    @pytest.mark.parametrize("n_steps", [1, 7])
+    @pytest.mark.parametrize("n_mem", range(1, 9))
+    def test_step_axis_bit_identical_to_per_step_calls(self, n_mem, n_steps):
+        """A leading step axis repeats each step's own products."""
+        theta = np.random.default_rng(n_mem).uniform(
+            -4 * np.pi, 4 * np.pi, (n_steps, n_mem, 3))
+        stack = rotation_stack(theta)
+        layers = kron_layer(stack)
+        assert stack.shape == (n_steps, n_mem, 2, 2)
+        assert layers.shape == (n_steps, 2 ** n_mem, 2 ** n_mem)
+        for t in range(n_steps):
+            assert np.array_equal(stack[t], rotation_stack(theta[t]))
+            assert np.array_equal(layers[t], kron_layer(rotation_stack(theta[t])))
+
+    @pytest.mark.parametrize("c", [1, 2, 5])
+    def test_series_angles_bit_identical_to_per_step(self, c):
+        w = init_weights(11, c=c, n_mem=6)
+        u = np.random.default_rng(c).uniform(0, 1, 40)
+        angles = series_angles(u, w)
+        assert angles.shape == (40, 6, 3)
+        for t in range(len(u)):
+            assert np.array_equal(angles[t],
+                                  compute_angles(context_window(u, t, c), w))
+        assert series_angles(u[:0], w).shape == (0, 6, 3)
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):

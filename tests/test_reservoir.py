@@ -160,6 +160,20 @@ class TestFactoredKernel:
         assert np.array_equal(rho0, before)
 
 
+class TestPerRunGateStacks:
+    """The gates built once per run repeat the per-step build bit for bit."""
+
+    @pytest.mark.parametrize("n_qubits,n_repeats,c", [
+        (2, 1, 1), (4, 2, 2), (12, 1, 5), (12, 3, 5), (16, 1, 1)])
+    def test_equals_per_step_loop(self, n_qubits, n_repeats, c):
+        cfg = ReservoirConfig(n_qubits=n_qubits, gamma=0.55,
+                              n_repeats=n_repeats, c=c)
+        w = init_weights(3, c=c, n_mem=cfg.n_mem)
+        u = np.random.default_rng(n_qubits).uniform(0, 1, 25)
+        assert np.array_equal(run_exact(u, w, cfg),
+                              oracles.run_exact_per_step(u, w, cfg))
+
+
 class TestHealthChecks:
     """run_exact checks the held state instead of repairing it."""
 
@@ -186,21 +200,29 @@ class TestMemoryCheck:
 
     def test_estimate_small_run(self):
         cfg = ReservoirConfig(n_qubits=4, gamma=0.5)
+        rotations = 256 * 10 * 2  # every step's factors and rotation stack
+        held = 3 * 16 * 16 + 2 ** 18  # rho, two work buffers, ufunc buffers
+        stacks = 16 * 10 * (2 ** 2 + 2 ** 2)  # one (hi, lo) gate-stack pair
         assert check_memory(cfg, 10) == (
-            4 * 16 * 16 + 8 * 16 + 8 * 10 * 4 + 2 ** 18)
+            rotations + held + stacks + 8 * 16 + 8 * 10 * 4 + 2 ** 18)
         assert check_memory(replace(cfg, n_repeats=3), 10) == (
-            5 * 16 * 16 + 8 * 16 + 8 * 10 * 4 + 2 ** 18)
+            rotations + held + 2 * stacks + 8 * 16 + 8 * 10 * 4 + 2 ** 18)
         assert check_memory(replace(cfg, backend="sampled", n_shots=5), 10) == (
-            4 * 16 * 16 + 8 * 16 + 4 * 8 * 10 * 4 + 2 ** 18)
+            rotations + held + stacks + 8 * 16 + 4 * 8 * 10 * 4 + 2 ** 18)
+        odd = replace(cfg, n_qubits=6)  # d_hi = 4, d_lo = 2
+        assert check_memory(odd, 10) == (
+            256 * 10 * 3 + 3 * 16 * 64 + 2 ** 18 + 16 * 10 * (4 ** 2 + 2 ** 2)
+            + 8 * 64 + 8 * 10 * 8 + 2 ** 18)
         traj = replace(cfg, backend="trajectory", n_shots=CHUNK + 1)
         assert check_memory(traj, 10) == (
-            8 * CHUNK * 10 * 2 + 1024 * CHUNK + 24 * 16 + 4 * 16 * 16
-            + 2 * 8 * 10 * 4 + 2 ** 18)
+            rotations + 8 * CHUNK * 10 * 2 + 1024 * CHUNK + 24 * 16
+            + 4 * 16 * 16 + 2 * 8 * 10 * 4 + 2 ** 18)
         wide = replace(traj, n_qubits=12)  # the step arrays outgrow 1 KiB/row
         assert check_memory(wide, 10) == (
-            8 * CHUNK * 10 * 6 + collapse_workspace_bytes(CHUNK, 6)
-            + 2 * 16 * CHUNK * 64 + 64 * CHUNK + 24 * 64 ** 2
-            + 4 * 16 * 64 ** 2 + 2 * 8 * 10 * 64 + 2 ** 18)
+            256 * 10 * 6 + 8 * CHUNK * 10 * 6
+            + collapse_workspace_bytes(CHUNK, 6) + 2 * 16 * CHUNK * 64
+            + 64 * CHUNK + 24 * 64 ** 2 + 4 * 16 * 64 ** 2 + 2 * 8 * 10 * 64
+            + 2 ** 18)
 
     @pytest.mark.parametrize("m,n", [(1, 1), (7, 3), (50, 6)])
     def test_workspace_bytes_match_allocation(self, m, n):
