@@ -21,8 +21,7 @@ from .readout import (
 from .tasks import (
     StmcSpec, NarmaSpec, EsnConfig, StmcResult, NarmaResult, EsnNarmaResult,
     gen_uniform, narma5, stmc_align, run_stmc, score_stmc_features,
-    run_narma, score_narma_features, esn_init, esn_states, esn_run,
-    run_esn_narma,
+    run_narma, score_narma_features, esn_init, esn_states, run_esn_narma,
 )
 
 __all__ = [
@@ -39,5 +38,5 @@ __all__ = [
     "StmcSpec", "NarmaSpec", "EsnConfig", "StmcResult", "NarmaResult",
     "EsnNarmaResult", "gen_uniform", "narma5", "stmc_align", "run_stmc",
     "score_stmc_features", "run_narma", "score_narma_features", "esn_init",
-    "esn_states", "esn_run", "run_esn_narma",
+    "esn_states", "run_esn_narma",
 ]

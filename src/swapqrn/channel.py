@@ -15,8 +15,6 @@ copy.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from .gates import check_gamma, damping_probability, n_qubits_of, swap_coefficients
@@ -73,7 +71,6 @@ def damping_channel(rho: np.ndarray, gamma: float) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=128)
 def povm_matrix(gamma: float, n: int) -> np.ndarray:
     """The matrix that maps diag(rho) on n qubits to the outcome distribution.
 

@@ -284,10 +284,14 @@ def _json_safe(value):
     return value
 
 
+def _point_config(cfg, point):
+    return replace(cfg.reservoir, n_qubits=point.n_qubits, gamma=point.gamma,
+                   n_repeats=point.n_repeats)
+
+
 def _point_record(cfg, point):
     """The point's reservoir config and the record fields every outcome has."""
-    rc = replace(cfg.reservoir, n_qubits=point.n_qubits, gamma=point.gamma,
-                 n_repeats=point.n_repeats)
+    rc = _point_config(cfg, point)
     record_cfg = asdict(rc)
     if cfg.task == "esn-baseline":
         record_cfg["n_nodes"] = rc.n_qubits // 2
@@ -506,6 +510,13 @@ def cmd_sweep(cfg, workers):
               file=sys.stderr)
         workers = cpus
     points = sweep_points(cfg)
+    for point in points:  # parse_config checked each given grid axis alone
+        try:
+            _check_fits(cfg.task, _point_config(cfg, point), cfg.task_spec)
+        except ValueError as exc:
+            raise ConfigError(f"sweep point {point.index} ({point.n_qubits} "
+                              f"qubits, gamma={point.gamma}, n_repeats="
+                              f"{point.n_repeats}): {exc}") from exc
     outdir = Path(cfg.outdir)
     staging = outdir / "points"
     staging.mkdir(parents=True, exist_ok=True)

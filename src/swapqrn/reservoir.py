@@ -114,9 +114,9 @@ def check_memory(cfg, n_steps):
     two 8,192-entry complex buffers, 256 KiB, of numpy's buffered strided
     passes in the transfer, the :func:`_gate_pairs` stacks,
     T * (d_hi**2 + d_lo**2) * 16 B per pair and two pairs at n_repeats > 1,
-    the cached ``dim x dim`` POVM matrix of 8 * 4**n_mem B and the
-    ``(T, dim)`` feature matrix, which the sampled backend's draws copy
-    three times more.  Trajectory: the ``(rows, T, n_mem)`` uniform
+    the ``dim x dim`` POVM matrix of 8 * 4**n_mem B, built once per run,
+    and the ``(T, dim)`` feature matrix, which the sampled backend's draws
+    copy three times more.  Trajectory: the ``(rows, T, n_mem)`` uniform
     block of one chunk of ``min(CHUNK, n_shots)`` rows, then the larger of
     about 1 KiB per spawned shot generator and the chunk's step arrays (the
     collapse workspace of :func:`swapqrn.channel.collapse_workspace_bytes`,
@@ -143,12 +143,16 @@ def check_memory(cfg, n_steps):
                  + pairs * 16 * n_steps * ((dim // d_lo) ** 2 + d_lo ** 2)
                  + 8 * dim * dim + copies * 8 * n_steps * dim)
     need += 2 ** 18
+    return check_physical_memory(need, f"n_qubits={cfg.n_qubits} with the "
+                                 f"{cfg.backend} backend for {n_steps} steps")
+
+
+def check_physical_memory(need, what):
+    """``need`` bytes; ``ValueError`` naming ``what`` past physical memory."""
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
-        raise ValueError(
-            f"n_qubits={cfg.n_qubits} with the {cfg.backend} backend needs "
-            f"about {need / 2 ** 30:.3g} GiB for {n_steps} steps, more than "
-            f"the {have / 2 ** 30:.3g} GiB of physical memory")
+        raise ValueError(f"{what} needs about {need / 2 ** 30:.3g} GiB, more "
+                         f"than the {have / 2 ** 30:.3g} GiB of physical memory")
     return need
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedding import init_weights
-from .reservoir import check_seed, run_features
+from .reservoir import check_physical_memory, check_seed, run_features
 from .readout import (
     SHORT_DELAYS, Metrics, ridge_fit, predict, r_squared, rmse, mean_rmse_short,
 )
@@ -231,31 +231,32 @@ def esn_init(cfg, rng):
 
 
 def esn_states(u, w, w_in, leak_rate, h0=None):
-    """Leaky-integrated hidden states, one row per input sample."""
+    """Leaky-integrated states (T, ..., n), one row per input sample, of the
+    networks ``w`` (..., n, n), ``w_in`` and ``h0`` (..., n)."""
     u = np.asarray(u, dtype=float)
-    n = w.shape[0]
-    h = np.zeros(n) if h0 is None else np.asarray(h0, dtype=float)
-    states = np.empty((len(u), n))
+    h = np.zeros(w.shape[:-1]) if h0 is None else np.asarray(h0, dtype=float)
+    states = np.empty((len(u),) + h.shape)
     for t in range(len(u)):
-        h = (1.0 - leak_rate) * h + leak_rate * np.tanh(w @ h + w_in * u[t])
+        h = (1.0 - leak_rate) * h + leak_rate * np.tanh(
+            (w @ h[..., None])[..., 0] + w_in * u[t])
         states[t] = h
     return states
 
 
-def esn_run(u, cfg, rng):
-    w, w_in = esn_init(cfg, rng)
-    return esn_states(u, w, w_in, cfg.leak_rate)
-
-
 def run_esn_narma(spec, cfg, n_seeds):
-    """NARMA-5 RMSE distribution over independently seeded ESN draws."""
+    """NARMA-5 RMSE distribution over seeded ESN draws, all seeds stepped in
+    one recursion; seed k draws from ``default_rng([cfg.seed, k])``.  The
+    states and the weights, as drawn and as stacked, must fit in memory."""
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
+    need = 8 * n_seeds * cfg.n_nodes * (spec.n_total + 2 * cfg.n_nodes + 2)
+    check_physical_memory(need, f"an ESN of {cfg.n_nodes} nodes at {n_seeds} seeds")
     z = gen_uniform(spec.seed, spec.n_total, 0.0, 0.5)
-    values = np.empty(n_seeds)
-    for k in range(n_seeds):
-        states = esn_run(z, cfg, np.random.default_rng([cfg.seed, k]))
-        values[k] = score_narma_features(states, z, spec).metrics.rmse
+    rngs = (np.random.default_rng([cfg.seed, k]) for k in range(n_seeds))
+    w, w_in = map(np.stack, zip(*(esn_init(cfg, rng) for rng in rngs)))
+    states = esn_states(z, w, w_in, cfg.leak_rate)
+    values = np.array([score_narma_features(x, z, spec).metrics.rmse
+                       for x in states.swapaxes(0, 1)])
     return EsnNarmaResult(
         rmse=values,
         median=float(np.median(values)),

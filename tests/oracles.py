@@ -13,6 +13,7 @@ from swapqrn.channel import ground_state
 from swapqrn.embedding import (compute_angles, context_window, crz_ring_diagonal,
                                embedding_unitary, kron_layer, rotation_stack)
 from swapqrn.gates import check_gamma, damping_probability, swap_coefficients
+from swapqrn.tasks import esn_init, gen_uniform, score_narma_features
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +258,26 @@ def run_exact_per_step(u, weights, cfg):
                                1 << (n - 1 - q), 2, 1 << q)
             view[:, 0, :, :, 0] += p * view[:, 1, :, :, 1]
     return features
+
+
+def run_esn_narma_per_seed(spec, cfg, n_seeds):
+    """The ESN baseline's RMSE per seed, one unstacked recursion per seed:
+    seed k draws from ``default_rng([cfg.seed, k])``, its states follow
+    h <- (1 - a) h + a tanh(W h + w_in u_t) with a 2-D ``W @ h``, and they
+    are scored alone.  The stacked recursion of ``run_esn_narma`` must equal
+    it bit for bit."""
+    z = gen_uniform(spec.seed, spec.n_total, 0.0, 0.5)
+    values = np.empty(n_seeds)
+    for k in range(n_seeds):
+        w, w_in = esn_init(cfg, np.random.default_rng([cfg.seed, k]))
+        h = np.zeros(cfg.n_nodes)
+        states = np.empty((len(z), cfg.n_nodes))
+        for t in range(len(z)):
+            h = (1.0 - cfg.leak_rate) * h + cfg.leak_rate * np.tanh(
+                w @ h + w_in * z[t])
+            states[t] = h
+        values[k] = score_narma_features(states, z, spec).metrics.rmse
+    return values
 
 
 # ---------------------------------------------------------------------------

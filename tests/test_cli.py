@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from swapqrn import cli
+from swapqrn.reservoir import ReservoirConfig, check_memory
 
 
 TINY_STMC = """
@@ -337,6 +338,26 @@ class TestSweepVerb:
         assert submitted == [5, 7, 4, 6, 1, 3, 0, 2]
         records = json.loads((out / "records.json").read_text())["records"]
         assert [r["point_index"] for r in records] == list(range(8))
+
+    def test_over_memory_point_rejected_before_writing(
+            self, tmp_path, capsys, monkeypatch):
+        """Every grid axis alone fits with the base config (4 qubits,
+        n_repeats=1); their combination (8 qubits, n_repeats=3) does not."""
+        need = [check_memory(ReservoirConfig(n_qubits=8, gamma=0.5,
+                                             n_repeats=r), 120) for r in (1, 3)]
+        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": sum(need) // 2}
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+        path = write_config(tmp_path, TINY_STMC)
+        out = tmp_path / "out"
+        code = cli.main(["sweep", "--config", path, "--outdir", str(out),
+                         "--n-qubits-grid", "4,8", "--n-repeats-grid", "1,3",
+                         "--gamma-grid", "0.5"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: sweep point 3 (8 qubits, "
+                              "gamma=0.5, n_repeats=3): n_qubits=8 ")
+        assert "physical memory" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_rejected(self, tmp_path, capsys, workers):

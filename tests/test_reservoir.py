@@ -2,13 +2,14 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from swapqrn import reservoir
+from swapqrn import channel, reservoir
 from swapqrn.channel import (
     collapse_workspace, collapse_workspace_bytes, damping_channel,
     ground_state, outcome_distribution, rehermitize,
@@ -266,6 +267,22 @@ class TestMemoryCheck:
         for backend in ("exact", "sampled"):
             with pytest.raises(ValueError, match="physical memory"):
                 run_features(np.zeros(5), w, replace(cfg, backend=backend))
+
+    def test_no_povm_matrix_outlives_its_run(self, monkeypatch):
+        """A serial gamma sweep keeps no POVM matrix of a finished run."""
+        built = []
+
+        def povm_matrix(gamma, n):
+            m = channel.povm_matrix(gamma, n)
+            built.append(weakref.ref(m))
+            return m
+
+        monkeypatch.setattr(reservoir, "povm_matrix", povm_matrix)
+        w = init_weights(1, c=1, n_mem=3)
+        for gamma in (0.15, 0.3, 0.45, 0.6):
+            run_exact(np.full(4, 0.5), w, ReservoirConfig(n_qubits=6, gamma=gamma))
+        assert len(built) == 4
+        assert [ref() for ref in built] == [None] * 4
 
     def test_trajectory_refused_before_spawning(self):
         cfg = ReservoirConfig(n_qubits=48, gamma=0.5, n_shots=10,

@@ -1,14 +1,17 @@
+import os
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from swapqrn import tasks
 from swapqrn.embedding import EmbeddingWeights, init_weights
 from swapqrn.reservoir import ReservoirConfig
 from swapqrn.tasks import (
     StmcSpec, NarmaSpec, EsnConfig,
     gen_uniform, narma5, stmc_align, run_stmc, score_stmc_features,
     run_narma, score_narma_features,
-    esn_init, esn_states, esn_run, run_esn_narma,
+    esn_init, esn_states, run_esn_narma,
 )
 
 import oracles
@@ -226,12 +229,23 @@ class TestEsn:
         b = esn_states(u, w, w_in, 0.5, h0=h0)
         assert np.max(np.abs(a[-1] - b[-1])) < 1e-6
 
-    def test_esn_run_deterministic(self):
-        u = gen_uniform(1, 50)
-        cfg = EsnConfig(n_nodes=4)
-        a = esn_run(u, cfg, np.random.default_rng(3))
-        b = esn_run(u, cfg, np.random.default_rng(3))
-        assert_allclose(a, b, rtol=0, atol=0)
+    @pytest.mark.parametrize("with_h0", [False, True])
+    @pytest.mark.parametrize("n_seeds", [1, 7])
+    @pytest.mark.parametrize("n_nodes", range(1, 9))
+    def test_stacked_equals_per_seed_calls(self, n_nodes, n_seeds, with_h0):
+        rng = np.random.default_rng([n_nodes, n_seeds])
+        draws = [esn_init(EsnConfig(n_nodes=n_nodes), rng)
+                 for _ in range(n_seeds)]
+        w = np.stack([d[0] for d in draws])
+        w_in = np.stack([d[1] for d in draws])
+        h0 = rng.uniform(-1, 1, (n_seeds, n_nodes)) if with_h0 else None
+        u = gen_uniform(n_nodes, 60, 0.0, 0.5)
+        stacked = esn_states(u, w, w_in, 0.5, h0=h0)
+        assert stacked.shape == (60, n_seeds, n_nodes)
+        for k in range(n_seeds):
+            single = esn_states(u, w[k], w_in[k], 0.5,
+                                h0=None if h0 is None else h0[k])
+            assert np.array_equal(stacked[:, k], single)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -250,6 +264,31 @@ class TestRunEsnNarma:
         assert len(summary.rmse) == 25
         assert len(np.unique(summary.rmse)) == 25
         assert summary.q1 <= summary.median <= summary.q3
+
+    def test_run_esn_narma_deterministic(self):
+        spec = NarmaSpec(n_total=200, n_train=120, n_test=60)
+        a = run_esn_narma(spec, EsnConfig(n_nodes=4), n_seeds=5)
+        b = run_esn_narma(spec, EsnConfig(n_nodes=4), n_seeds=5)
+        assert np.array_equal(a.rmse, b.rmse)
+
+    @pytest.mark.parametrize("n_nodes", [1, 4, 8])
+    def test_equals_per_seed_loop(self, n_nodes):
+        spec, cfg = NarmaSpec(), EsnConfig(n_nodes=n_nodes)
+        summary = run_esn_narma(spec, cfg, n_seeds=25)
+        assert np.array_equal(summary.rmse,
+                              oracles.run_esn_narma_per_seed(spec, cfg, 25))
+
+    def test_over_memory_refused_before_drawing(self, monkeypatch):
+        """200 seeds of 4 nodes over 1,000 steps hold 6.5 MB of states and
+        weights; with 1 MiB of physical memory they are refused unseeded."""
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+        drawn = []
+        monkeypatch.setattr(tasks, "esn_init",
+                            lambda cfg, rng: drawn.append(rng))
+        with pytest.raises(ValueError, match="physical memory"):
+            run_esn_narma(NarmaSpec(), EsnConfig(n_nodes=4), n_seeds=200)
+        assert drawn == []
 
     def test_larger_esn_beats_floor(self):
         spec = NarmaSpec()
