@@ -28,22 +28,23 @@ def ground_state(n_qubits: int) -> np.ndarray:
     return rho
 
 
-def damping_transfer(rho: np.ndarray, p: float, buf=None) -> None:
-    """Add p rho[..1.., ..1..] into rho[..0.., ..0..] for each qubit, in place.
-
-    These are the transfer halves of every qubit's damping; they commute with
-    every qubit's scaling, so all of them may run before any scaling.  Every
-    qubit's p rho[..1.., ..1..] goes through ``buf``, a complex buffer of a
-    quarter of rho's entries, allocated here when not given.
-    """
+def transfer_views(rho: np.ndarray, buf: np.ndarray) -> list:
+    """Per qubit, the (t00, t11, scratch) operands of :func:`damping_transfer`
+    on rho: its rho[..0.., ..0..] and rho[..1.., ..1..] blocks and ``buf``,
+    a complex buffer of a quarter of rho's entries, each as a
+    (hi, lo, hi, lo) view."""
     n = n_qubits_of(rho.shape[0])
-    if buf is None:
-        buf = np.empty(rho.size // 4, dtype=complex)
-    for q in range(n):
-        hi, lo = 1 << (n - 1 - q), 1 << q
-        t = rho.reshape(hi, 2, lo, hi, 2, lo)
-        t[:, 0, :, :, 0] += np.multiply(p, t[:, 1, :, :, 1],
-                                        out=buf.reshape(hi, lo, hi, lo))
+    halves = [(1 << (n - 1 - q), 1 << q) for q in range(n)]
+    return [(t[:, 0, :, :, 0], t[:, 1, :, :, 1], buf.reshape(hi, lo, hi, lo))
+            for hi, lo in halves for t in [rho.reshape(hi, 2, lo, hi, 2, lo)]]
+
+
+def damping_transfer(views: list, p: float) -> None:
+    """Add p rho[..1.., ..1..] into rho[..0.., ..0..] for each qubit, in place,
+    through the :func:`transfer_views` of rho.  These transfer halves of the
+    damping commute with every qubit's scaling, so all may run before it."""
+    for t00, t11, scratch in views:
+        np.add(t00, np.multiply(p, t11, out=scratch), out=t00)
 
 
 def damping_scale(rho: np.ndarray, a: complex) -> None:
@@ -66,7 +67,8 @@ def damping_channel(rho: np.ndarray, gamma: float) -> np.ndarray:
     gamma = check_gamma(gamma)
     out = np.array(rho, dtype=complex)
     a, _ = swap_coefficients(gamma)
-    damping_transfer(out, damping_probability(gamma))
+    damping_transfer(transfer_views(out, np.empty(out.size // 4, complex)),
+                     damping_probability(gamma))
     damping_scale(out, a)
     return out
 

@@ -39,7 +39,8 @@ import numpy as np
 from . import __version__
 from .reservoir import BACKENDS, ReservoirConfig, check_memory
 from .tasks import (
-    StmcSpec, NarmaSpec, EsnConfig, run_stmc, run_narma, run_esn_narma,
+    StmcSpec, NarmaSpec, EsnConfig, check_esn_memory, run_stmc, run_narma,
+    run_esn_narma,
 )
 
 TASKS = ("stmc", "narma5", "esn-baseline")
@@ -140,23 +141,26 @@ def _section_values(parser, section, schema):
     return values
 
 
-def _check_fits(task, reservoir, task_spec):
-    """Refuse a reservoir whose run cannot fit in memory; the ESN baseline
-    builds no quantum state."""
-    if task != "esn-baseline":
+def _check_fits(reservoir, task_spec, esn, n_esn_seeds):
+    """Refuse a point whose reservoir run, or ESN given ``esn``, cannot fit."""
+    if esn is None:
         check_memory(reservoir, task_spec.n_total)
+    else:
+        check_esn_memory(task_spec, replace(esn, n_nodes=reservoir.n_mem),
+                         n_esn_seeds)
 
 
-def _validate_grids(task, sweep, reservoir, task_spec):
+def _validate_grids(sweep, reservoir, task_spec, esn, n_esn_seeds):
     """Each grid value must make a valid config with the base reservoir, and
     one that fits in memory; the ESN baseline sweeps its size alone."""
     for axis, values in sweep.items():
-        if task == "esn-baseline" and axis != "n_qubits":
+        if esn is not None and axis != "n_qubits":
             raise ConfigError(f"sweep.{axis}: the esn-baseline task sweeps "
                               f"n_qubits only; drop the {axis} grid")
         for value in values:
             try:
-                _check_fits(task, replace(reservoir, **{axis: value}), task_spec)
+                _check_fits(replace(reservoir, **{axis: value}), task_spec,
+                            esn, n_esn_seeds)
             except ValueError as exc:
                 raise ConfigError(f"sweep.{axis}: {exc}") from exc
 
@@ -206,13 +210,13 @@ def parse_config(task=None, config_path=None, flag_overrides=None):
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config error in [task]: {exc}") from exc
     try:
-        _check_fits(task, reservoir, task_spec)
+        _check_fits(reservoir, task_spec, esn, n_esn_seeds)
     except ValueError as exc:
         raise ConfigError(f"config error in [reservoir]: {exc}") from exc
 
     sweep = sweep_values or None
     if sweep:
-        _validate_grids(task, sweep, reservoir, task_spec)
+        _validate_grids(sweep, reservoir, task_spec, esn, n_esn_seeds)
 
     outdir = (flags.get("outdir") or experiment.get("outdir")
               or os.path.join("results", task))
@@ -512,7 +516,8 @@ def cmd_sweep(cfg, workers):
     points = sweep_points(cfg)
     for point in points:  # parse_config checked each given grid axis alone
         try:
-            _check_fits(cfg.task, _point_config(cfg, point), cfg.task_spec)
+            _check_fits(_point_config(cfg, point), cfg.task_spec, cfg.esn,
+                        cfg.n_esn_seeds)
         except ValueError as exc:
             raise ConfigError(f"sweep point {point.index} ({point.n_qubits} "
                               f"qubits, gamma={point.gamma}, n_repeats="
@@ -599,12 +604,9 @@ def build_parser():
     sub.add_parser("run", parents=[shared], help="execute one experiment")
     sweep = sub.add_parser("sweep", parents=[shared],
                            help="execute a parameter grid")
-    sweep.add_argument("--gamma-grid", dest="gamma_grid",
-                       help="comma-separated list")
-    sweep.add_argument("--n-qubits-grid", dest="n_qubits_grid",
-                       help="comma-separated list")
-    sweep.add_argument("--n-repeats-grid", dest="n_repeats_grid",
-                       help="comma-separated list")
+    for axis in _SWEEP_SCHEMA:
+        sweep.add_argument(f"--{axis.replace('_', '-')}-grid",
+                           dest=f"{axis}_grid", help="comma-separated list")
     sweep.add_argument("--workers", type=int, default=1)
     plot = sub.add_parser("plotdata", help="emit per-figure CSVs from records")
     plot.add_argument("--records", nargs="+", required=True)

@@ -30,6 +30,7 @@ from .gates import check_gamma, damping_probability, swap_coefficients
 from .channel import (
     collapse, collapse_tables, collapse_workspace, collapse_workspace_bytes,
     damping_scale, damping_transfer, ground_state, outcome_row, povm_matrix,
+    transfer_views,
 )
 from .embedding import (compute_angles, crz_ring_diagonal, kron_layer,
                         rotation_stack, series_angles)
@@ -106,26 +107,17 @@ def check_memory(cfg, n_steps):
     """Bytes a run of ``n_steps`` inputs needs, estimated before anything is
     allocated; raises ``ValueError`` when that exceeds physical memory.
 
-    Both backends first build every step's rotations at once: the
-    ``(T, n_mem, 3, 2, 2)`` complex factors and the ``(T, n_mem, 2, 2)``
-    stack, 256 B per step and qubit.  Exact and sampled: three arrays of
-    rho's 16 * 4**n_mem B (the held rho and the two work buffers of
-    :func:`_kernel_step`; the final Hermiticity check holds as many), the
-    two 8,192-entry complex buffers, 256 KiB, of numpy's buffered strided
-    passes in the transfer, the :func:`_gate_pairs` stacks,
-    T * (d_hi**2 + d_lo**2) * 16 B per pair and two pairs at n_repeats > 1,
-    the ``dim x dim`` POVM matrix of 8 * 4**n_mem B, built once per run,
-    and the ``(T, dim)`` feature matrix, which the sampled backend's draws
-    copy three times more.  Trajectory: the ``(rows, T, n_mem)`` uniform
-    block of one chunk of ``min(CHUNK, n_shots)`` rows, then the larger of
-    about 1 KiB per spawned shot generator and the chunk's step arrays (the
-    collapse workspace of :func:`swapqrn.channel.collapse_workspace_bytes`,
-    the embedded and the ground batch, and 64 B per row for the collapse's
-    row-length values), which never coexist; a chunk's arrays are dropped
-    before the next chunk allocates.  Then the ``dim x dim`` collapse tables
-    (complex coefficients, int64 sources), up to four ``dim x dim`` complex
-    arrays while a step's unitary is built, and the count and feature
-    matrices.  Both add 256 KiB for the interpreter's own small objects.
+    Counted: every step's rotations, 256 B per step and qubit.  Exact and
+    sampled: the three rho-sized arrays of :func:`_kernel_plan` (held rho,
+    work buffer, CRZ phase matrix; the final Hermiticity check holds as
+    many), numpy's 256 KiB of buffers for the strided transfer, the
+    :func:`_gate_pairs` stacks (two pairs at n_repeats > 1), the POVM matrix
+    and the feature matrix, which the sampled draws copy three times more.
+    Trajectory: one chunk's uniform block, then the larger of about 1 KiB
+    per spawned shot generator and the chunk's step arrays, which never
+    coexist; the collapse tables, up to four dim x dim complex arrays while
+    a step's unitary is built, and the count and feature matrices.  Both
+    add 256 KiB for the interpreter's own small objects.
     """
     n_mem, dim = cfg.n_mem, 2 ** cfg.n_mem
     need = 256 * n_steps * n_mem
@@ -157,64 +149,58 @@ def check_physical_memory(need, what):
 
 
 def _gate_pairs(rots, fold, n_repeats):
-    """The (hi, lo) Kronecker blocks of the rotation layer R = R_hi (x) R_lo
-    for rotations ``rots`` (..., n_mem, 2, 2), leading axes carried through:
-    first of R S, where ``fold`` is the damping factor A of
-    S = (x)_q diag(1, A) (column 1 of every 2x2 gate times A), then, only at
-    ``n_repeats`` > 1, of R itself."""
+    """(r_hi, c_lo) of the rotation layer R = R_hi (x) R_lo for rotations
+    ``rots`` (..., n_mem, 2, 2), leading axes carried through: R_hi and
+    R_lo^+ of R S, where ``fold`` is the factor A of S = (x)_q diag(1, A)
+    (column 1 of every 2x2 gate times A), then, at ``n_repeats`` > 1, of R."""
     n_lo = rots.shape[-3] // 2  # qubits in the low half of the register
-    gates = rots * [1.0, fold]
-    pairs = (kron_layer(gates[..., n_lo:, :, :]),
-             kron_layer(gates[..., :n_lo, :, :]))
-    if n_repeats > 1:
-        pairs += (kron_layer(rots[..., n_lo:, :, :]),
-                  kron_layer(rots[..., :n_lo, :, :]))
+    pairs = ()
+    for gates in (rots * [1.0, fold], rots)[:min(n_repeats, 2)]:
+        pairs += (kron_layer(gates[..., n_lo:, :, :]),
+                  kron_layer(gates[..., :n_lo, :, :]).conj().swapaxes(-1, -2))
     return pairs
 
 
-def _kernel_step(rho, work, gates, n_repeats, crz_col, crz_row, povm, p):
-    """One step without forming U, in place on the held rho; returns the
-    readout row of rho_emb and leaves T(rho_emb) in ``rho``, where T is the
-    damping transfer.
-
-    ``gates`` is the step's slice of :func:`_gate_pairs`: the first repeat
-    applies its folded pair, every later one the unfolded pair.  R acts on
-    the rows, then the columns of rho by matmul on reshaped views, and the
-    CRZ ring, with diagonal ``crz_col[:, 0]`` and its conjugate ``crz_row``,
-    scales rows and columns.  The products alternate between the two
-    rho-sized buffers of ``work`` and the last writes back into ``rho``, so
-    a step allocates nothing of rho's size; the transfer's quarter-size
-    buffer is the front of ``work[0]``.  ``povm`` is the
-    :func:`povm_matrix` and ``p`` the damping probability.
-    """
-    dim = len(rho)
-    w0, w1 = work
-    for k in range(n_repeats):
-        if k < 2:
-            r_hi, r_lo = gates[2 * k:2 * k + 2]
-            c_hi, c_lo = r_hi.conj(), r_lo.conj().T
-            d_hi, d_lo = len(r_hi), len(r_lo)
-        x = np.matmul(r_lo, rho.reshape(d_hi, d_lo, dim),
-                      out=w0.reshape(d_hi, d_lo, dim))
-        y = np.matmul(r_hi, x.reshape(d_hi, d_lo * dim),
-                      out=w1.reshape(d_hi, d_lo * dim))
-        x = np.matmul(y.reshape(dim * d_hi, d_lo), c_lo,
-                      out=w0.reshape(dim * d_hi, d_lo))
-        np.matmul(c_hi, x.reshape(dim, d_hi, d_lo),
-                  out=rho.reshape(dim, d_hi, d_lo))
-        rho *= crz_col
-        rho *= crz_row
-    dist = outcome_row(rho, povm)
-    damping_transfer(rho, p, w0.reshape(-1)[:rho.size // 4])
-    return dist
-
-
-def _step_constants(weights, cfg):
-    """The arguments of :func:`_kernel_step` after ``n_repeats``: what no
-    step changes."""
+def _kernel_plan(rho, weights, cfg):
+    """What every step on the held, C-contiguous ``rho`` shares, built once
+    per run: rho and one work buffer, each also as (dim d_hi, d_lo) columns
+    and (d_hi, d_lo dim) rows, rho's transpose, its :func:`transfer_views`
+    with the front of the work buffer as scratch, the CRZ phase
+    crz_i conj(crz_j), the :func:`povm_matrix` and the damping probability."""
+    work, d_lo = np.empty_like(rho), 1 << cfg.n_mem // 2
+    cols, rows = (-1, d_lo), (len(rho) // d_lo, -1)
     crz = crz_ring_diagonal(weights.w_hidden)
-    return (crz[:, None], crz.conj(), povm_matrix(cfg.gamma, cfg.n_mem),
+    return (rho, work, rho.T, rho.reshape(cols), rho.reshape(rows),
+            work.reshape(cols), work.reshape(rows),
+            transfer_views(rho, work.reshape(-1)[:rho.size // 4]),
+            crz[:, None] * crz.conj(), povm_matrix(cfg.gamma, cfg.n_mem),
             damping_probability(cfg.gamma))
+
+
+def _kernel_step(plan, gates, n_repeats):
+    """One step without forming U, in place on the held rho of ``plan``;
+    returns the readout row of rho_emb and leaves T(rho_emb), T the damping
+    transfer, in rho.  ``gates`` is the step's slice of :func:`_gate_pairs`:
+    the first repeat applies its folded pair G, every later one the unfolded
+    pair.  rho is Hermitian, so G rho G^+ = G (G rho)^+: a repeat runs the
+    two one-call products W = (G_hi (x) 1) rho (1 (x) G_lo^+) on rho and
+    again on W^+, then the CRZ ring as one phase pass.  The six moves
+    alternate between rho and the work buffer and end in rho.
+    """
+    (rho, work, rho_t, rho_cols, rho_rows, work_cols, work_rows, transfer,
+     phase, povm, p) = plan
+    for k in range(n_repeats):
+        r_hi, c_lo = gates[:2] if k == 0 else gates[-2:]
+        np.matmul(rho_cols, c_lo, out=work_cols)
+        np.matmul(r_hi, work_rows, out=rho_rows)
+        np.copyto(work, rho_t)  # np.conjugate(rho_t, out=) would buffer
+        np.conjugate(work, out=work)
+        np.matmul(work_cols, c_lo, out=rho_cols)
+        np.matmul(r_hi, rho_rows, out=work_rows)
+        np.multiply(work, phase, out=rho)
+    dist = outcome_row(rho, povm)
+    damping_transfer(transfer, p)
+    return dist
 
 
 def step(rho, u_context, weights, cfg):
@@ -222,38 +208,36 @@ def step(rho, u_context, weights, cfg):
 
     The feature row is the readout distribution of the post-embedding state;
     the returned state has already passed through the damping channel and is
-    ready for the next input.
+    ready for the next input.  ``rho`` must be Hermitian: a residual
+    max|rho - rho^+| past ``HEALTH_TOL`` raises ``ValueError``.
     """
-    state = np.array(rho, dtype=complex)
-    rots = rotation_stack(compute_angles(u_context, weights))
-    dist = _kernel_step(state, np.empty((2,) + state.shape, complex),
-                        _gate_pairs(rots, 1.0, cfg.n_repeats), cfg.n_repeats,
-                        *_step_constants(weights, cfg))
+    state = np.array(rho, dtype=complex, order="C")
+    _check_health("Hermiticity residual", np.max(np.abs(state - state.conj().T)),
+                  "of the input state", ValueError)
+    gates = _gate_pairs(rotation_stack(compute_angles(u_context, weights)),
+                        1.0, cfg.n_repeats)
+    dist = _kernel_step(_kernel_plan(state, weights, cfg), gates, cfg.n_repeats)
     damping_scale(state, swap_coefficients(cfg.gamma)[0])
     return state, dist
 
 
-def _check_health(name, value, t):
+def _check_health(name, value, where, error=FloatingPointError):
     if not value <= HEALTH_TOL:
-        raise FloatingPointError(
-            f"{name} {value:.3e} at step {t} exceeds {HEALTH_TOL:g}")
+        raise error(f"{name} {value:.3e} {where} exceeds {HEALTH_TOL:g}")
 
 
 def run_exact(u, weights, cfg):
     """Feature matrix (T, 2**n_mem) of exact readout distributions.
 
-    Everything that does not read rho is built once per run before the step
-    loop: every step's angles and rotations at once, the :func:`_gate_pairs`
-    as (T, d, d) stacks, the :func:`_step_constants` and the two work
-    buffers of :func:`_kernel_step`.  The held state is
-    the transferred rho, with each step's damping scaling folded into the
-    next step's rotations.  It is checked, not repaired: the trace drift
-    |sum of row t - 1| every step (the POVM columns sum to 1) and the
-    Hermiticity residual max|rho - rho^+| of the final held state (the
-    channel is trace-norm contractive, so the anti-Hermitian rounding part
-    cannot grow between checks).  Either past ``HEALTH_TOL`` raises
-    ``FloatingPointError``.  The gate stacks and work buffers are released
-    before the final check allocates.
+    Every step's angles, rotations and :func:`_gate_pairs` stacks, and the
+    :func:`_kernel_plan`, are built once, before the step loop.  The held
+    state is the transferred rho, with each step's damping scaling folded
+    into the next step's rotations.  It is checked, not repaired: the trace
+    drift |sum of row t - 1| every step (the POVM columns sum to 1) and the
+    Hermiticity residual max|rho - rho^+| of the final state (the channel is
+    trace-norm contractive, so the anti-Hermitian rounding part cannot grow
+    between checks); either past ``HEALTH_TOL`` raises ``FloatingPointError``.
+    The stacks, the work buffer and the phase matrix are released first.
     """
     _check_weights(weights, cfg)
     u = np.asarray(u, dtype=float)
@@ -262,16 +246,16 @@ def run_exact(u, weights, cfg):
     rho = ground_state(cfg.n_mem)  # S |0><0| S^+ = |0><0|: folding A is exact
     stacks = _gate_pairs(rotation_stack(series_angles(u, weights)), a,
                          cfg.n_repeats)
-    constants = _step_constants(weights, cfg)
-    work = np.empty((2,) + rho.shape, complex)
+    plan = _kernel_plan(rho, weights, cfg)
     features = np.empty((len(u), 2 ** cfg.n_mem))
     for t, gates in enumerate(zip(*stacks)):
-        features[t] = _kernel_step(rho, work, gates, cfg.n_repeats, *constants)
-        _check_health("trace drift", abs(features[t].sum() - 1.0), t)
-    stacks = gates = work = None  # gates holds views into the stacks
+        features[t] = _kernel_step(plan, gates, cfg.n_repeats)
+        _check_health("trace drift", abs(features[t].sum() - 1.0),
+                      f"at step {t}")
+    stacks = gates = plan = None  # gates holds views into the stacks
     if len(u):
         _check_health("Hermiticity residual",
-                      np.max(np.abs(rho - rho.conj().T)), len(u) - 1)
+                      np.max(np.abs(rho - rho.conj().T)), f"at step {len(u) - 1}")
     return features
 
 

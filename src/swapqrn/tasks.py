@@ -196,7 +196,11 @@ def score_narma_features(features, z, spec):
     The washout is removed from the training block only; the test slice is
     the aligned tail, truncated to ``spec.n_test`` samples.
     """
-    z_aligned, y_aligned = narma5(z)
+    return _score_narma(features, narma5(z)[1], spec)
+
+
+def _score_narma(features, y_aligned, spec):
+    """:func:`score_narma_features` on the aligned targets of ``narma5(z)``."""
     rows = np.asarray(features)[5:]
     if len(rows) != len(y_aligned):
         raise ValueError("features and input series disagree in length")
@@ -243,19 +247,27 @@ def esn_states(u, w, w_in, leak_rate, h0=None):
     return states
 
 
+def check_esn_memory(spec, cfg, n_seeds):
+    """Bytes of :func:`run_esn_narma`'s states and weights, as drawn and as
+    stacked; ``ValueError`` past physical memory."""
+    need = 8 * n_seeds * cfg.n_nodes * (spec.n_total + 2 * cfg.n_nodes + 2)
+    return check_physical_memory(
+        need, f"an ESN of {cfg.n_nodes} nodes at {n_seeds} seeds")
+
+
 def run_esn_narma(spec, cfg, n_seeds):
     """NARMA-5 RMSE distribution over seeded ESN draws, all seeds stepped in
     one recursion; seed k draws from ``default_rng([cfg.seed, k])``.  The
     states and the weights, as drawn and as stacked, must fit in memory."""
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
-    need = 8 * n_seeds * cfg.n_nodes * (spec.n_total + 2 * cfg.n_nodes + 2)
-    check_physical_memory(need, f"an ESN of {cfg.n_nodes} nodes at {n_seeds} seeds")
+    check_esn_memory(spec, cfg, n_seeds)
     z = gen_uniform(spec.seed, spec.n_total, 0.0, 0.5)
     rngs = (np.random.default_rng([cfg.seed, k]) for k in range(n_seeds))
     w, w_in = map(np.stack, zip(*(esn_init(cfg, rng) for rng in rngs)))
     states = esn_states(z, w, w_in, cfg.leak_rate)
-    values = np.array([score_narma_features(x, z, spec).metrics.rmse
+    _, y = narma5(z)  # one target recursion for every seed
+    values = np.array([_score_narma(x, y, spec).metrics.rmse
                        for x in states.swapaxes(0, 1)])
     return EsnNarmaResult(
         rmse=values,

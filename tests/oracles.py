@@ -223,15 +223,17 @@ def dense_step(rho, u_context, weights, cfg):
 def run_exact_per_step(u, weights, cfg):
     """The exact recursion with every step's gates built inside the loop:
     the angles, the rotation stack and both halves' Kronecker blocks per
-    step, the damping factor A folded into the first repeat's gates, the
-    factored products and CRZ multiplies, the outcome row from the clipped
-    diagonal, and a fresh temporary per qubit's transfer.  Its features are
-    the reference the per-run gate stacks of ``run_exact`` must equal bit for
-    bit."""
+    step, the damping factor A folded into the first repeat's gates, per
+    repeat the two factored products on rho, a conjugate-transposed copy,
+    the same two products again and the CRZ phase matrix, the outcome row
+    from the clipped diagonal, and a fresh temporary per qubit's transfer.
+    Its features are the reference the per-run gate stacks and views of
+    ``run_exact`` must equal bit for bit."""
     a, _ = swap_coefficients(cfg.gamma)
     p = damping_probability(cfg.gamma)
     rho = ground_state(cfg.n_mem)
     crz = crz_ring_diagonal(weights.w_hidden)
+    phase = crz[:, None] * crz.conj()
     n, dim = cfg.n_mem, 2 ** cfg.n_mem
     povm = factor = np.array([[1.0, 1.0 - p], [0.0, p]])
     for _ in range(n - 1):
@@ -246,12 +248,12 @@ def run_exact_per_step(u, weights, cfg):
                 r_hi, r_lo = kron_layer(gates[n // 2:]), kron_layer(gates[:n // 2])
                 d_hi, d_lo = len(r_hi), len(r_lo)
                 gates = rots
-            x = r_lo @ rho.reshape(d_hi, d_lo, dim)
-            x = (r_hi @ x.reshape(d_hi, d_lo * dim)).reshape(dim * d_hi, d_lo)
-            x = r_hi.conj() @ (x @ r_lo.conj().T).reshape(dim, d_hi, d_lo)
-            rho = x.reshape(dim, dim)
-            rho *= crz[:, None]
-            rho *= crz.conj()
+            # (R_hi (x) 1) rho (1 (x) R_lo^+), then the same on its adjoint
+            x = rho.reshape(dim * d_hi, d_lo) @ r_lo.conj().T
+            x = (r_hi @ x.reshape(d_hi, d_lo * dim)).reshape(dim, dim)
+            x = x.conj().T.reshape(dim * d_hi, d_lo) @ r_lo.conj().T
+            x = (r_hi @ x.reshape(d_hi, d_lo * dim)).reshape(dim, dim)
+            rho = x * phase
         features[t] = povm @ np.clip(np.diagonal(rho).real, 0.0, None)
         for q in range(n):
             view = rho.reshape(1 << (n - 1 - q), 2, 1 << q,

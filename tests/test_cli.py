@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from swapqrn import cli
 from swapqrn.reservoir import ReservoirConfig, check_memory
+from swapqrn.tasks import EsnConfig, NarmaSpec, check_esn_memory
 
 
 TINY_STMC = """
@@ -356,6 +357,26 @@ class TestSweepVerb:
         err = capsys.readouterr().err
         assert err.startswith("config error: sweep point 3 (8 qubits, "
                               "gamma=0.5, n_repeats=3): n_qubits=8 ")
+        assert "physical memory" in err
+        assert not out.exists()
+
+    def test_over_memory_esn_point_rejected_before_writing(
+            self, tmp_path, capsys, monkeypatch):
+        """The ESN baseline's points go through the memory estimate that
+        run_esn_narma applies: a grid whose largest network does not fit
+        exits 2 before anything is written."""
+        spec = NarmaSpec()
+        need = [check_esn_memory(spec, EsnConfig(n_nodes=n), 3) for n in (1, 8)]
+        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": sum(need) // 2}
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+        out = tmp_path / "out"
+        code = cli.main(["sweep", "--task", "esn-baseline", "--n-qubits", "2",
+                         "--n-qubits-grid", "2,16", "--n-esn-seeds", "3",
+                         "--outdir", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: sweep.n_qubits: an ESN of 8 "
+                              "nodes at 3 seeds needs about ")
         assert "physical memory" in err
         assert not out.exists()
 

@@ -88,6 +88,25 @@ class TestStep:
         assert_allclose(dist, [0.0, 1.0], atol=1e-12)
         assert_allclose(rho, ground_state(1), atol=1e-12)
 
+    def test_non_hermitian_state_refused(self):
+        """The kernel relies on rho = rho^+; a skewed input is refused."""
+        rho = oracles.random_density(np.random.default_rng(4), 4)
+        rho[0, 1] += 1e-8
+        w, cfg = init_weights(1, c=1, n_mem=2), ReservoirConfig(n_qubits=4, gamma=0.4)
+        with pytest.raises(ValueError, match=r"Hermiticity residual 1\.000e-08 "
+                                             r"of the input state exceeds 1e-10"):
+            step(rho, np.array([0.3]), w, cfg)
+        rho[0, 1] -= 1e-8
+        step(rho, np.array([0.3]), w, cfg)
+
+    def test_fortran_ordered_state(self):
+        """A transposed (Fortran-ordered) input steps as its C-ordered copy."""
+        rho = oracles.random_density(np.random.default_rng(5), 8).T
+        w, cfg = init_weights(2, c=1, n_mem=3), ReservoirConfig(n_qubits=6, gamma=0.4)
+        a = step(rho, np.array([0.3]), w, cfg)
+        b = step(np.ascontiguousarray(rho), np.array([0.3]), w, cfg)
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
     def test_distribution_is_pre_channel(self):
         """The returned row is the readout law of the post-embedding state."""
         rng = np.random.default_rng(3)
@@ -103,6 +122,43 @@ class TestStep:
 
 class TestFactoredKernel:
     """The factored kernel against the dense U rho U^+ step it replaced."""
+
+    @pytest.mark.parametrize("n_repeats", [1, 2, 3])
+    @pytest.mark.parametrize("n_mem", [1, 2, 3, 4, 5, 6])
+    def test_matches_dense_recursion(self, n_mem, n_repeats):
+        """300 steps of the two products around rho's adjoint, against the
+        dense U rho U^+ recursion left unrepaired; odd n_mem has d_hi != d_lo."""
+        cfg = ReservoirConfig(n_qubits=2 * n_mem, gamma=0.3,
+                              n_repeats=n_repeats, c=2, seed=n_mem)
+        w = init_weights(cfg.seed, c=2, n_mem=n_mem)
+        u = np.random.default_rng(n_mem + 10 * n_repeats).random(300)
+        rows = run_exact(u, w, cfg)
+        rho = ground_state(n_mem)
+        for t in range(len(u)):
+            rho, dist = oracles.dense_step(rho, context_window(u, t, 2), w, cfg)
+            assert np.max(np.abs(rows[t] - dist)) <= 1e-12
+
+    @pytest.mark.parametrize("n_repeats", [1, 3])
+    def test_features_independent_of_blas_threads(self, n_repeats):
+        """At 16 qubits the features of two fresh interpreters, one with one
+        OpenBLAS thread and one with two, are byte-identical."""
+        src = os.path.dirname(os.path.dirname(reservoir.__file__))
+        code = (
+            "import hashlib, numpy as np\n"
+            "from swapqrn import ReservoirConfig, init_weights, run_exact\n"
+            f"cfg = ReservoirConfig(n_qubits=16, gamma=0.55, n_repeats={n_repeats})\n"
+            "u = np.random.default_rng(8).random(40)\n"
+            "w = init_weights(cfg.seed, cfg.c, cfg.n_mem)\n"
+            "print(hashlib.sha256(run_exact(u, w, cfg).tobytes()).hexdigest())\n")
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           [src, os.environ.get("PYTHONPATH", "")]))
+            digests.append(subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True,
+                text=True, check=True).stdout)
+        assert digests[0] == digests[1] and len(digests[0]) == 65
 
     @pytest.mark.parametrize("c", [1, 3])
     @pytest.mark.parametrize("n_repeats", [1, 2, 3])

@@ -290,6 +290,19 @@ class TestRunEsnNarma:
             run_esn_narma(NarmaSpec(), EsnConfig(n_nodes=4), n_seeds=200)
         assert drawn == []
 
+    def test_one_target_recursion_per_call(self, monkeypatch):
+        """Every seed is scored against the same NARMA-5 targets, computed
+        once per call."""
+        calls = []
+
+        def counted(z):
+            calls.append(len(z))
+            return narma5(z)
+
+        monkeypatch.setattr(tasks, "narma5", counted)
+        run_esn_narma(NarmaSpec(), EsnConfig(n_nodes=2), n_seeds=4)
+        assert calls == [NarmaSpec().n_total]
+
     def test_larger_esn_beats_floor(self):
         spec = NarmaSpec()
         _, y = narma5(gen_uniform(spec.seed, spec.n_total, 0.0, 0.5))
