@@ -141,33 +141,24 @@ def _section_values(parser, section, schema):
     return values
 
 
-def _check_fits(reservoir, task_spec, esn, n_esn_seeds):
-    """Refuse a point whose reservoir run, or ESN given ``esn``, cannot fit."""
-    if esn is None:
-        check_memory(reservoir, task_spec.n_total)
-    else:
-        check_esn_memory(task_spec, replace(esn, n_nodes=reservoir.n_mem),
-                         n_esn_seeds)
-
-
-def _validate_grids(sweep, reservoir, task_spec, esn, n_esn_seeds):
-    """Each grid value must make a valid config with the base reservoir, and
-    one that fits in memory; the ESN baseline sweeps its size alone."""
+def _validate_grids(sweep, reservoir, esn):
+    """Each grid value must make a valid config with the base reservoir; the
+    ESN baseline sweeps its size alone."""
     for axis, values in sweep.items():
         if esn is not None and axis != "n_qubits":
             raise ConfigError(f"sweep.{axis}: the esn-baseline task sweeps "
                               f"n_qubits only; drop the {axis} grid")
         for value in values:
             try:
-                _check_fits(replace(reservoir, **{axis: value}), task_spec,
-                            esn, n_esn_seeds)
+                replace(reservoir, **{axis: value})
             except ValueError as exc:
                 raise ConfigError(f"sweep.{axis}: {exc}") from exc
 
 
 def parse_config(task=None, config_path=None, flag_overrides=None):
     """Merge defaults, config-file sections, and flag overrides into a
-    validated :class:`ExperimentConfig`.  Flags win over file values."""
+    validated :class:`ExperimentConfig`.  Flags win over file values.  Only
+    values are checked here; each verb checks memory for the points it runs."""
     flags = dict(flag_overrides or {})
     parser = _read_sections(config_path) if config_path else None
 
@@ -209,22 +200,15 @@ def parse_config(task=None, config_path=None, flag_overrides=None):
                if task == "esn-baseline" else None)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config error in [task]: {exc}") from exc
-    try:
-        _check_fits(reservoir, task_spec, esn, n_esn_seeds)
-    except ValueError as exc:
-        raise ConfigError(f"config error in [reservoir]: {exc}") from exc
-
-    sweep = sweep_values or None
-    if sweep:
-        _validate_grids(sweep, reservoir, task_spec, esn, n_esn_seeds)
+    _validate_grids(sweep_values, reservoir, esn)
 
     outdir = (flags.get("outdir") or experiment.get("outdir")
               or os.path.join("results", task))
     if not os.path.isabs(outdir):
         outdir = os.path.join(os.environ.get("SWAPQRN_OUTPUT_ROOT", "."), outdir)
     return ExperimentConfig(task=task, reservoir=reservoir, task_spec=task_spec,
-                            esn=esn, n_esn_seeds=n_esn_seeds, sweep=sweep,
-                            outdir=Path(outdir))
+                            esn=esn, n_esn_seeds=n_esn_seeds,
+                            sweep=sweep_values or None, outdir=Path(outdir))
 
 
 def sweep_points(cfg):
@@ -261,7 +245,7 @@ def _run_narma_point(cfg, rc, rng):
 
 
 def _run_esn_point(cfg, rc, rng):
-    esn_cfg = replace(cfg.esn, n_nodes=rc.n_qubits // 2)
+    esn_cfg = replace(cfg.esn, n_nodes=rc.n_mem)
     summary = run_esn_narma(cfg.task_spec, esn_cfg, cfg.n_esn_seeds)
     return {"n_nodes": esn_cfg.n_nodes, "median": summary.median,
             "q1": summary.q1, "q3": summary.q3,
@@ -293,12 +277,29 @@ def _point_config(cfg, point):
                    n_repeats=point.n_repeats)
 
 
+def _check_points(cfg, points):
+    """Refuse, before anything is written, any point that cannot fit in
+    physical memory."""
+    for point in points:
+        rc = _point_config(cfg, point)
+        try:
+            if cfg.esn is None:
+                check_memory(rc, cfg.task_spec.n_total)
+            else:
+                check_esn_memory(cfg.task_spec, replace(cfg.esn, n_nodes=rc.n_mem),
+                                 cfg.n_esn_seeds)
+        except ValueError as exc:
+            raise ConfigError(f"point {point.index} ({point.n_qubits} qubits, "
+                              f"gamma={point.gamma}, n_repeats="
+                              f"{point.n_repeats}): {exc}") from exc
+
+
 def _point_record(cfg, point):
     """The point's reservoir config and the record fields every outcome has."""
     rc = _point_config(cfg, point)
     record_cfg = asdict(rc)
     if cfg.task == "esn-baseline":
-        record_cfg["n_nodes"] = rc.n_qubits // 2
+        record_cfg["n_nodes"] = rc.n_mem
     return rc, {"point_index": point.index, "task": cfg.task,
                 "config": record_cfg, "version": __version__, "seed": rc.seed}
 
@@ -494,6 +495,7 @@ def emit_plotdata(payloads, outdir):
 def cmd_run(cfg):
     point = SweepPoint(0, cfg.reservoir.n_qubits, cfg.reservoir.gamma,
                        cfg.reservoir.n_repeats)
+    _check_points(cfg, [point])
     record = _execute_point(cfg, point)
     outdir = write_outputs(cfg, [record])
     if record["status"] != "ok":
@@ -514,14 +516,7 @@ def cmd_sweep(cfg, workers):
               file=sys.stderr)
         workers = cpus
     points = sweep_points(cfg)
-    for point in points:  # parse_config checked each given grid axis alone
-        try:
-            _check_fits(_point_config(cfg, point), cfg.task_spec, cfg.esn,
-                        cfg.n_esn_seeds)
-        except ValueError as exc:
-            raise ConfigError(f"sweep point {point.index} ({point.n_qubits} "
-                              f"qubits, gamma={point.gamma}, n_repeats="
-                              f"{point.n_repeats}): {exc}") from exc
+    _check_points(cfg, points)
     outdir = Path(cfg.outdir)
     staging = outdir / "points"
     staging.mkdir(parents=True, exist_ok=True)

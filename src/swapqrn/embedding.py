@@ -107,7 +107,7 @@ def kron_layer(rotations: np.ndarray) -> np.ndarray:
         # out (x) g, one product per entry as in np.kron
         g = rotations[..., q, None, :, None, :]
         out = (out[..., :, None, :, None] * g).reshape(
-            out.shape[:-2] + (2 * out.shape[-2], -1))
+            out.shape[:-2] + (2 * out.shape[-2], 2 * out.shape[-1]))
     return out
 
 

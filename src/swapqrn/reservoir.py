@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import check_gamma, damping_probability, swap_coefficients
+from .gates import check_gamma, damping_probability, n_qubits_of, swap_coefficients
 from .channel import (
     collapse, collapse_tables, collapse_workspace, collapse_workspace_bytes,
     damping_scale, damping_transfer, ground_state, outcome_row, povm_matrix,
@@ -208,10 +208,17 @@ def step(rho, u_context, weights, cfg):
 
     The feature row is the readout distribution of the post-embedding state;
     the returned state has already passed through the damping channel and is
-    ready for the next input.  ``rho`` must be Hermitian: a residual
-    max|rho - rho^+| past ``HEALTH_TOL`` raises ``ValueError``.
+    ready for the next input.  ``rho`` must be a Hermitian
+    (2**n_mem, 2**n_mem) matrix: a residual max|rho - rho^+| past
+    ``HEALTH_TOL``, a wrong shape, or weights for another register raise
+    ``ValueError``.
     """
+    _check_weights(weights, cfg)
     state = np.array(rho, dtype=complex, order="C")
+    dim = 2 ** cfg.n_mem
+    if state.shape != (dim, dim):
+        raise ValueError(f"rho has shape {state.shape}, config wants "
+                         f"({dim}, {dim})")
     _check_health("Hermiticity residual", np.max(np.abs(state - state.conj().T)),
                   "of the input state", ValueError)
     gates = _gate_pairs(rotation_stack(compute_angles(u_context, weights)),
@@ -340,7 +347,7 @@ def bitstring_labels(n_mem):
 def features_to_csv(path, features):
     """Write a feature matrix as CSV with a 1-based ``t`` column."""
     features = np.asarray(features)
-    n_mem = features.shape[1].bit_length() - 1
+    n_mem = n_qubits_of(features.shape[1])
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["t"] + bitstring_labels(n_mem))
@@ -351,6 +358,6 @@ def features_to_csv(path, features):
 def features_from_csv(path):
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
-        next(reader)
+        width = len(next(reader)) - 1
         rows = [[float(x) for x in line[1:]] for line in reader]
-    return np.asarray(rows)
+    return np.array(rows, dtype=float).reshape(len(rows), width)

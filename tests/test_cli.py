@@ -126,9 +126,26 @@ class TestParseConfig:
         with pytest.raises(cli.ConfigError):
             cli.parse_config(task="qasm")
 
-    def test_over_memory_reservoir_rejected(self):
-        with pytest.raises(cli.ConfigError, match="physical memory"):
-            cli.parse_config(task="narma5", flag_overrides={"n_qubits": 48})
+    def test_over_memory_reservoir_rejected(self, tmp_path, capsys):
+        """parse_config checks values only; the run verb refuses the point
+        it would run, before anything is written."""
+        out = tmp_path / "out"
+        code = cli.main(["run", "--task", "narma5", "--n-qubits", "48",
+                         "--outdir", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: point 0 (48 qubits, gamma=0.75, "
+                              "n_repeats=3): n_qubits=48 ")
+        assert "physical memory" in err
+        assert not out.exists()
+
+    def test_no_memory_check_at_parse(self, tmp_path):
+        """A base value or grid value that no point runs is not checked."""
+        path = write_config(tmp_path, "[sweep]\nn_qubits = 2, 48\n")
+        cfg = cli.parse_config(task="narma5", config_path=path,
+                               flag_overrides={"n_qubits": 48})
+        assert cfg.reservoir.n_qubits == 48
+        assert cfg.sweep["n_qubits"] == (2, 48)
 
     def test_esn_grid_needs_no_quantum_state(self):
         """The ESN baseline's register sizes are node counts, never a state."""
@@ -261,8 +278,53 @@ class TestRunVerb:
         a.pop("wall_time_s"), b.pop("wall_time_s")
         assert a == b
 
+    def test_run_ignores_sweep_section(self, tmp_path):
+        """run executes its one point; an over-memory [sweep] value that it
+        never runs does not stop it."""
+        path = write_config(tmp_path, "[sweep]\nn_qubits = 2, 48\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", "--task", "stmc", "--n-qubits", "2",
+                         "--config", path, "--outdir", str(out)]) == 0
+        assert (out / "results.csv").exists()
+
+    def test_over_memory_esn_run_rejected_before_writing(
+            self, tmp_path, capsys, monkeypatch):
+        need = check_esn_memory(NarmaSpec(), EsnConfig(n_nodes=8), 3)
+        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": need - 1}
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+        out = tmp_path / "out"
+        code = cli.main(["run", "--task", "esn-baseline", "--n-qubits", "16",
+                         "--n-esn-seeds", "3", "--outdir", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: point 0 (16 qubits, gamma=0.75, "
+                              "n_repeats=3): an ESN of 8 nodes at 3 seeds "
+                              "needs about ")
+        assert "physical memory" in err
+        assert not out.exists()
+
+    def test_esn_seed_count_below_one_rejected(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = cli.main(["run", "--task", "esn-baseline", "--n-qubits", "2",
+                         "--n-esn-seeds", "0", "--outdir", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "config error: task.n_esn_seeds must be >= 1, got 0\n")
+        assert not out.exists()
+
 
 class TestSweepVerb:
+
+    def test_base_value_outside_grid_not_checked(self, tmp_path):
+        """The base n_qubits=40 is no point of this grid, so its memory
+        estimate does not stop the sweep."""
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--task", "stmc", "--n-qubits", "40",
+                         "--n-qubits-grid", "2", "--gamma-grid", "0.5",
+                         "--n-repeats-grid", "1", "--outdir", str(out)]) == 0
+        records = json.loads((out / "records.json").read_text())["records"]
+        assert [(r["config"]["n_qubits"], r["status"]) for r in records] == [
+            (2, "ok")]
 
     def test_rerun_outputs_byte_identical(self, tmp_path):
         path = write_config(
@@ -355,7 +417,7 @@ class TestSweepVerb:
                          "--gamma-grid", "0.5"])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: sweep point 3 (8 qubits, "
+        assert err.startswith("config error: point 3 (8 qubits, "
                               "gamma=0.5, n_repeats=3): n_qubits=8 ")
         assert "physical memory" in err
         assert not out.exists()
@@ -375,8 +437,9 @@ class TestSweepVerb:
                          "--outdir", str(out)])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: sweep.n_qubits: an ESN of 8 "
-                              "nodes at 3 seeds needs about ")
+        assert err.startswith("config error: point 1 (16 qubits, gamma=0.75, "
+                              "n_repeats=3): an ESN of 8 nodes at 3 seeds "
+                              "needs about ")
         assert "physical memory" in err
         assert not out.exists()
 
@@ -400,7 +463,8 @@ class TestSweepVerb:
                          "--n-qubits-grid", "4,48", "--gamma-grid", "0.5"])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: sweep.n_qubits: n_qubits=48 ")
+        assert err.startswith("config error: point 2 (48 qubits, gamma=0.5, "
+                              "n_repeats=1): n_qubits=48 ")
         assert "physical memory" in err
         assert not out.exists()
 

@@ -193,6 +193,12 @@ class TestEmbeddingUnitary:
             assert np.array_equal(stack[t], rotation_stack(theta[t]))
             assert np.array_equal(layers[t], kron_layer(rotation_stack(theta[t])))
 
+    @pytest.mark.parametrize("n_mem", [1, 3])
+    def test_empty_step_axis(self, n_mem):
+        """A step axis of length zero keeps its shape through every factor."""
+        layers = kron_layer(np.zeros((0, n_mem, 2, 2), dtype=complex))
+        assert layers.shape == (0, 2 ** n_mem, 2 ** n_mem)
+
     @pytest.mark.parametrize("c", [1, 2, 5])
     def test_series_angles_bit_identical_to_per_step(self, c):
         w = init_weights(11, c=c, n_mem=6)

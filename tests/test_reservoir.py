@@ -107,6 +107,18 @@ class TestStep:
         b = step(np.ascontiguousarray(rho), np.array([0.3]), w, cfg)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
+    @pytest.mark.parametrize("weights_mem, rho_mem, match", [
+        (3, 2, "weights are for 3 memory qubits, config wants 2"),
+        (2, 3, r"rho has shape \(8, 8\), config wants \(4, 4\)"),
+        (3, 3, "weights are for 3 memory qubits, config wants 2"),
+    ], ids=["weights", "rho", "weights-and-rho"])
+    def test_mismatched_sizes_refused(self, weights_mem, rho_mem, match):
+        """Weights or rho for another register than cfg's 2 memory qubits."""
+        w = init_weights(1, c=1, n_mem=weights_mem)
+        cfg = ReservoirConfig(n_qubits=4, gamma=0.4)
+        with pytest.raises(ValueError, match=match):
+            step(ground_state(rho_mem), np.array([0.3]), w, cfg)
+
     def test_distribution_is_pre_channel(self):
         """The returned row is the readout law of the post-embedding state."""
         rng = np.random.default_rng(3)
@@ -231,6 +243,14 @@ class TestPerRunGateStacks:
                               oracles.run_exact_per_step(u, w, cfg))
 
 
+@pytest.mark.parametrize("backend", ["exact", "sampled", "trajectory"])
+def test_empty_series_gives_no_rows(backend):
+    cfg = ReservoirConfig(n_qubits=4, gamma=0.5, c=2, n_shots=10,
+                          backend=backend)
+    rows = run_features(np.zeros(0), init_weights(1, c=2, n_mem=2), cfg)
+    assert rows.shape == (0, 4)
+
+
 class TestHealthChecks:
     """run_exact checks the held state instead of repairing it."""
 
@@ -258,7 +278,7 @@ class TestMemoryCheck:
     def test_estimate_small_run(self):
         cfg = ReservoirConfig(n_qubits=4, gamma=0.5)
         rotations = 256 * 10 * 2  # every step's factors and rotation stack
-        held = 3 * 16 * 16 + 2 ** 18  # rho, two work buffers, ufunc buffers
+        held = 3 * 16 * 16 + 2 ** 18  # rho, work buffer, phase, ufunc buffers
         stacks = 16 * 10 * (2 ** 2 + 2 ** 2)  # one (hi, lo) gate-stack pair
         assert check_memory(cfg, 10) == (
             rotations + held + stacks + 8 * 16 + 8 * 10 * 4 + 2 ** 18)
@@ -574,3 +594,14 @@ class TestFeatureSerialization:
         assert header == "t,00,01,10,11"
         back = features_from_csv(path)
         assert_allclose(back, rows, rtol=0, atol=0)
+
+    def test_csv_round_trip_no_rows(self, tmp_path):
+        path = tmp_path / "features.csv"
+        features_to_csv(path, np.zeros((0, 4)))
+        assert path.read_text().splitlines() == ["t,00,01,10,11"]
+        assert features_from_csv(path).shape == (0, 4)
+
+    def test_csv_width_not_power_of_two_refused(self, tmp_path):
+        path = tmp_path / "features.csv"
+        with pytest.raises(ValueError, match="dimension 3 is not a power of two"):
+            features_to_csv(path, np.zeros((2, 3)))

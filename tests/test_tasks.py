@@ -290,6 +290,10 @@ class TestRunEsnNarma:
             run_esn_narma(NarmaSpec(), EsnConfig(n_nodes=4), n_seeds=200)
         assert drawn == []
 
+    def test_zero_seeds_rejected(self):
+        with pytest.raises(ValueError, match="n_seeds must be >= 1, got 0"):
+            run_esn_narma(NarmaSpec(), EsnConfig(n_nodes=4), n_seeds=0)
+
     def test_one_target_recursion_per_call(self, monkeypatch):
         """Every seed is scored against the same NARMA-5 targets, computed
         once per call."""
