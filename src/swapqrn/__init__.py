@@ -4,8 +4,7 @@ __version__ = "0.1.0"
 
 from .gates import partial_swap_unitary, swap_coefficients
 from .channel import (
-    damping_channel, outcome_distribution, purity, trajectory_step,
-    ground_state,
+    damping_channel, outcome_distribution, purity, ground_state,
 )
 from .embedding import (
     EmbeddingWeights, init_weights, context_window, compute_angles,
@@ -27,8 +26,7 @@ from .tasks import (
 __all__ = [
     "__version__",
     "partial_swap_unitary", "swap_coefficients",
-    "damping_channel", "outcome_distribution", "purity", "trajectory_step",
-    "ground_state",
+    "damping_channel", "outcome_distribution", "purity", "ground_state",
     "EmbeddingWeights", "init_weights", "context_window", "compute_angles",
     "ring_edges", "embedding_unitary",
     "ReservoirConfig", "step", "run_exact", "run_sampled", "run_trajectories",

@@ -145,13 +145,21 @@ def collapse_tables(gamma, n):
 
 
 def collapse(states, uniforms, p, coef, src, ws):
-    """The collapse of :func:`trajectory_step` on the batch-sized arrays of
-    ``ws``, a :func:`collapse_workspace` of exactly m rows.
+    """One measure-and-reset round on a batch of m pure memory states, in the
+    batch-sized arrays of ``ws``, a :func:`collapse_workspace` of exactly m
+    rows; ``reservoir.run_trajectories`` runs it once per step.
 
-    Draws with ``uniforms`` (m, n) and damping probability ``p``, gathers
-    with the tables of :func:`collapse_tables`, and returns the collapsed
-    states, a view into ``ws``, and the outcomes; ``states``, a C-contiguous
-    complex (m, 2**n) batch, is read only.
+    ``uniforms`` (m, n) holds each row's [0, 1) draw per qubit.  K0 and K1
+    map basis states to basis states, so the outcomes are drawn from the
+    weights w = |psi|^2 alone, qubits in ascending order: qubit q is taken
+    with probability p w1 / (w0 + w1), w1 and w0 its bit-1 and bit-0 sums,
+    and is then summed out of w.  Outcome c's Kraus string acts as one
+    gather with the tables of :func:`collapse_tables`,
+    (K_c psi)_i = B^|c| A^|i| psi_{i|c} where i & c = 0, else 0.  Rows never
+    mix, so a row's result does not depend on the batch it rides in.
+    Returns the collapsed states, a view into ``ws``, and the int64
+    outcomes; ``states``, a C-contiguous complex (m, 2**n) batch, is read
+    only.
     The weights are held transposed, (2**n >> q, m), so every operation of
     the draw loop runs along the m rows.  No complex ``out=`` aliases one of
     its own inputs: numpy's in-place complex multiply rounds differently
@@ -187,31 +195,6 @@ def collapse(states, uniforms, p, coef, src, ws):
     out = np.take(coef, bits, axis=0, out=ws["out"], mode="clip")
     scale = np.multiply(out, 1.0 / np.sqrt(w.reshape(m, 1)), out=ws["scale"])
     return np.multiply(kept, scale, out=out), bits
-
-
-def trajectory_step(states: np.ndarray, gamma: float, uniforms: np.ndarray):
-    """Sample one measure-and-reset round on a batch of pure memory states.
-
-    ``states`` is ``(m, 2**n_mem)`` and ``uniforms`` holds one ``[0, 1)``
-    draw per row and qubit, ``(m, n_mem)``.  Qubits are drawn in ascending
-    order from the weights w = |psi|^2 alone, since K0 and K1 map basis
-    states to basis states: qubit q is taken with probability
-    p w1 / (w0 + w1), its bit-1 and bit-0 sums, then summed out of w.
-    Outcome c's Kraus string then acts as one gather,
-    (K_c psi)_i = B^|c| A^|i| psi_{i|c} where i & c = 0, else 0.  Rows never
-    mix, so a row's result does not depend on the batch it rides in.
-    Returns (collapsed states, outcome bitstrings as int64), both new arrays:
-    this allocates the tables and a workspace and runs :func:`collapse`.
-    """
-    gamma = check_gamma(gamma)
-    states = np.ascontiguousarray(states, dtype=complex)
-    m, dim = states.shape
-    n = n_qubits_of(dim)
-    if np.shape(uniforms) != (m, n):
-        raise ValueError(f"uniforms shape {np.shape(uniforms)} != {(m, n)}")
-    return collapse(states, np.asarray(uniforms, dtype=float),
-                    damping_probability(gamma), *collapse_tables(gamma, n),
-                    collapse_workspace(m, n))
 
 
 def rehermitize(rho: np.ndarray) -> np.ndarray:

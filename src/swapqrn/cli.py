@@ -27,6 +27,7 @@ import math
 import os
 import sys
 import time
+from collections.abc import Callable
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, asdict, fields, replace
@@ -43,21 +44,12 @@ from .tasks import (
     run_esn_narma,
 )
 
-TASKS = ("stmc", "narma5", "esn-baseline")
-
 RANDOM_GUESS_U01 = float(np.sqrt(1.0 / 12.0))
 
-DEFAULT_GAMMA_GRID = tuple(round(0.05 * k, 10) for k in range(1, 21))
-DEFAULT_NQUBITS_GRID = tuple(range(2, 17, 2))
-DEFAULT_NREPEATS_GRID = (1, 3)
-
-# task defaults that differ from the ReservoirConfig field defaults
-_NARMA_RESERVOIR = dict(n_qubits=12, gamma=0.75, n_repeats=3, c=5, n_shots=60000)
-_RESERVOIR_DEFAULTS = {
-    "stmc": dict(n_qubits=16, gamma=0.55, n_shots=30000),
-    "narma5": _NARMA_RESERVOIR,
-    "esn-baseline": _NARMA_RESERVOIR,
-}
+# the default grid of each sweep axis
+_GRIDS = {"n_qubits": tuple(range(2, 17, 2)),
+          "gamma": tuple(round(0.05 * k, 10) for k in range(1, 21)),
+          "n_repeats": (1, 3)}
 
 
 def _schema(cls, skip=()):
@@ -68,11 +60,6 @@ def _schema(cls, skip=()):
 _RESERVOIR_SCHEMA = _schema(ReservoirConfig)
 # the ESN takes its size from the reservoir and its seed from the task
 _ESN_SCHEMA = _schema(EsnConfig, skip=("n_nodes", "seed"))
-_TASK_SCHEMA = {
-    "stmc": _schema(StmcSpec),
-    "narma5": _schema(NarmaSpec),
-    "esn-baseline": {**_schema(NarmaSpec), **_ESN_SCHEMA, "n_esn_seeds": int},
-}
 _SWEEP_SCHEMA = {"gamma": tuple[float, ...], "n_qubits": tuple[int, ...],
                  "n_repeats": tuple[int, ...]}
 _EXPERIMENT_SCHEMA = {"task": str, "outdir": str}
@@ -141,20 +128,6 @@ def _section_values(parser, section, schema):
     return values
 
 
-def _validate_grids(sweep, reservoir, esn):
-    """Each grid value must make a valid config with the base reservoir; the
-    ESN baseline sweeps its size alone."""
-    for axis, values in sweep.items():
-        if esn is not None and axis != "n_qubits":
-            raise ConfigError(f"sweep.{axis}: the esn-baseline task sweeps "
-                              f"n_qubits only; drop the {axis} grid")
-        for value in values:
-            try:
-                replace(reservoir, **{axis: value})
-            except ValueError as exc:
-                raise ConfigError(f"sweep.{axis}: {exc}") from exc
-
-
 def parse_config(task=None, config_path=None, flag_overrides=None):
     """Merge defaults, config-file sections, and flag overrides into a
     validated :class:`ExperimentConfig`.  Flags win over file values.  Only
@@ -163,26 +136,24 @@ def parse_config(task=None, config_path=None, flag_overrides=None):
     parser = _read_sections(config_path) if config_path else None
 
     experiment = _section_values(parser, "experiment", _EXPERIMENT_SCHEMA)
-    task = task or flags.pop("task", None) or experiment.get("task", "stmc")
+    task = task or flags.pop("task", None) or experiment.get("task", next(iter(TASKS)))
     if task not in TASKS:
-        raise ConfigError(f"experiment.task must be one of {TASKS}, got {task!r}")
+        raise ConfigError(
+            f"experiment.task must be one of {tuple(TASKS)}, got {task!r}")
+    entry = TASKS[task]
 
-    reservoir_values = dict(_RESERVOIR_DEFAULTS[task])
+    reservoir_values = dict(entry.reservoir)
     reservoir_values.update(_section_values(parser, "reservoir", _RESERVOIR_SCHEMA))
-    task_values = _section_values(parser, "task", _TASK_SCHEMA[task])
-    sweep_values = _section_values(parser, "sweep", _SWEEP_SCHEMA)
+    task_values = _section_values(parser, "task", entry.schema)
+    sweep = _section_values(parser, "sweep", _SWEEP_SCHEMA)
 
     for values, schema in ((reservoir_values, _RESERVOIR_SCHEMA),
-                           (task_values, _TASK_SCHEMA[task])):
+                           (task_values, entry.schema)):
         values.update((k, flags[k]) for k in schema if flags.get(k) is not None)
-    foreign = [k for schema in _TASK_SCHEMA.values() for k in schema
-               if k not in _TASK_SCHEMA[task] and flags.get(k) is not None]
+    foreign = [k for other in TASKS.values() for k in other.schema
+               if k not in entry.schema and flags.get(k) is not None]
     if foreign:
         raise ConfigError(f"--{foreign[0].replace('_', '-')} does not apply to {task}")
-    for axis, kind in _SWEEP_SCHEMA.items():
-        raw = flags.get(f"{axis}_grid")
-        if raw is not None:
-            sweep_values[axis] = _coerce(raw, kind, f"sweep.{axis}")
 
     try:
         reservoir = ReservoirConfig(**reservoir_values)
@@ -193,14 +164,26 @@ def parse_config(task=None, config_path=None, flag_overrides=None):
     if n_esn_seeds < 1:
         raise ConfigError(f"task.n_esn_seeds must be >= 1, got {n_esn_seeds}")
     esn_kwargs = {k: task_values.pop(k) for k in _ESN_SCHEMA if k in task_values}
-    spec_cls = StmcSpec if task == "stmc" else NarmaSpec
     try:
-        task_spec = spec_cls(**task_values)
+        task_spec = entry.spec(**task_values)
+        # a task whose [task] section configures an ESN runs one per point
         esn = (EsnConfig(n_nodes=reservoir.n_mem, seed=task_spec.seed, **esn_kwargs)
-               if task == "esn-baseline" else None)
+               if _ESN_SCHEMA.keys() <= entry.schema.keys() else None)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config error in [task]: {exc}") from exc
-    _validate_grids(sweep_values, reservoir, esn)
+
+    # each grid value must make a valid config with the base reservoir
+    for axis, kind in _SWEEP_SCHEMA.items():
+        if flags.get(f"{axis}_grid") is not None:
+            sweep[axis] = _coerce(flags[f"{axis}_grid"], kind, f"sweep.{axis}")
+        if axis in sweep and axis not in entry.grids:
+            raise ConfigError(f"sweep.{axis}: the {task} task sweeps "
+                              f"{', '.join(entry.grids)} only; drop the {axis} grid")
+        for value in sweep.get(axis, ()):
+            try:
+                replace(reservoir, **{axis: value})
+            except ValueError as exc:
+                raise ConfigError(f"sweep.{axis}: {exc}") from exc
 
     outdir = (flags.get("outdir") or experiment.get("outdir")
               or os.path.join("results", task))
@@ -208,24 +191,20 @@ def parse_config(task=None, config_path=None, flag_overrides=None):
         outdir = os.path.join(os.environ.get("SWAPQRN_OUTPUT_ROOT", "."), outdir)
     return ExperimentConfig(task=task, reservoir=reservoir, task_spec=task_spec,
                             esn=esn, n_esn_seeds=n_esn_seeds,
-                            sweep=sweep_values or None, outdir=Path(outdir))
+                            sweep=sweep or None, outdir=Path(outdir))
 
 
 def sweep_points(cfg):
-    """Enumerate the sweep grid in deterministic order (index = position)."""
-    sweep, rc = cfg.sweep or {}, cfg.reservoir
-    esn = cfg.task == "esn-baseline"
-    sizes = sweep.get("n_qubits", (rc.n_qubits,) if cfg.task == "narma5"
-                      else DEFAULT_NQUBITS_GRID)
-    gammas = sweep.get("gamma", (rc.gamma,) if esn else DEFAULT_GAMMA_GRID)
-    repeats = sweep.get("n_repeats",
-                        (rc.n_repeats,) if esn else DEFAULT_NREPEATS_GRID)
-    return [SweepPoint(i, n, g, r)
-            for i, (n, g, r) in enumerate(product(sizes, gammas, repeats))]
+    """Enumerate the sweep grid in deterministic order (index = position);
+    an axis takes its [sweep] grid, else the task's, else the base value."""
+    sweep, grids = cfg.sweep or {}, TASKS[cfg.task].grids
+    axes = [sweep.get(axis) or grids.get(axis) or (getattr(cfg.reservoir, axis),)
+            for axis in ("n_qubits", "gamma", "n_repeats")]
+    return [SweepPoint(i, *values) for i, values in enumerate(product(*axes))]
 
 
 # ---------------------------------------------------------------------------
-# execution
+# tasks and their execution
 # ---------------------------------------------------------------------------
 
 def _run_stmc_point(cfg, rc, rng):
@@ -252,10 +231,65 @@ def _run_esn_point(cfg, rc, rng):
             "rmse_per_seed": summary.rmse.tolist()}
 
 
-TASK_RUNNERS = {
-    "stmc": _run_stmc_point,
-    "narma5": _run_narma_point,
-    "esn-baseline": _run_esn_point,
+def _check_reservoir(cfg, rc):
+    """The quantum tasks' memory check, on the point's reservoir."""
+    return check_memory(rc, cfg.task_spec.n_total)
+
+
+_GRID = ["n_qubits", "n_repeats", "gamma"]
+
+
+def _grid_row(r, *values):
+    c = r["config"]
+    return [c["n_qubits"], c["n_repeats"], *map(_fmt, (c["gamma"], *values))]
+
+
+@dataclass(frozen=True)
+class Task:
+    """Everything the CLI knows of one task."""
+
+    spec: type            # the [task] spec class
+    schema: dict          # [task] key -> type
+    reservoir: dict       # reservoir defaults that differ from ReservoirConfig's
+    grids: dict           # sweepable axis -> default grid (None: the base value)
+    run: Callable         # (cfg, rc, rng) -> metrics of one point
+    check: Callable       # (cfg, rc): ValueError past physical memory
+    metrics: tuple        # (per-delay metric names, scalar metric names)
+    figures: tuple        # (file, header, rows of a record and its metrics)
+
+
+_NARMA_RESERVOIR = dict(n_qubits=12, gamma=0.75, n_repeats=3, c=5, n_shots=60000)
+
+TASKS = {  # the first task is the default
+    "stmc": Task(
+        spec=StmcSpec, schema=_schema(StmcSpec),
+        reservoir=dict(n_qubits=16, gamma=0.55, n_shots=30000),
+        grids=_GRIDS, run=_run_stmc_point, check=_check_reservoir,
+        metrics=(("r2", "rmse"), ("mean_rmse_short",)),
+        figures=(
+            ("fig_stmc_r2_vs_tau.csv", [*_GRID, "tau", "r2"],
+             lambda r, m: [_grid_row(r, tau, m["r2"][tau])
+                           for tau in sorted(m["r2"], key=int, reverse=True)]),
+            ("fig_stmc_rmse_vs_gamma.csv",
+             [*_GRID, "mean_rmse_short", "random_guess"],
+             lambda r, m: [_grid_row(r, m["mean_rmse_short"], RANDOM_GUESS_U01)]))),
+    "narma5": Task(
+        spec=NarmaSpec, schema=_schema(NarmaSpec), reservoir=_NARMA_RESERVOIR,
+        grids={**_GRIDS, "n_qubits": None},
+        run=_run_narma_point, check=_check_reservoir,
+        metrics=((), ("rmse", "r2", "target_std")),
+        figures=(("fig_narma_rmse_vs_gamma.csv", [*_GRID, "rmse", "random_guess"],
+                  lambda r, m: [_grid_row(r, m["rmse"], m["target_std"])]),)),
+    "esn-baseline": Task(
+        spec=NarmaSpec,
+        schema={**_schema(NarmaSpec), **_ESN_SCHEMA, "n_esn_seeds": int},
+        reservoir=_NARMA_RESERVOIR, grids={"n_qubits": _GRIDS["n_qubits"]},
+        run=_run_esn_point, check=lambda cfg, rc: check_esn_memory(
+            cfg.task_spec, replace(cfg.esn, n_nodes=rc.n_mem), cfg.n_esn_seeds),
+        metrics=((), ("median", "q1", "q3")),
+        figures=(("fig_esn_comparison.csv", ["n_nodes", "median", "q1", "q3"],
+                  lambda r, m: [[m["n_nodes"],
+                                 *map(_fmt, (m["median"], m["q1"], m["q3"]))]]),)),
 }
 
 
@@ -281,13 +315,8 @@ def _check_points(cfg, points):
     """Refuse, before anything is written, any point that cannot fit in
     physical memory."""
     for point in points:
-        rc = _point_config(cfg, point)
         try:
-            if cfg.esn is None:
-                check_memory(rc, cfg.task_spec.n_total)
-            else:
-                check_esn_memory(cfg.task_spec, replace(cfg.esn, n_nodes=rc.n_mem),
-                                 cfg.n_esn_seeds)
+            TASKS[cfg.task].check(cfg, _point_config(cfg, point))
         except ValueError as exc:
             raise ConfigError(f"point {point.index} ({point.n_qubits} qubits, "
                               f"gamma={point.gamma}, n_repeats="
@@ -298,7 +327,7 @@ def _point_record(cfg, point):
     """The point's reservoir config and the record fields every outcome has."""
     rc = _point_config(cfg, point)
     record_cfg = asdict(rc)
-    if cfg.task == "esn-baseline":
+    if cfg.esn is not None:
         record_cfg["n_nodes"] = rc.n_mem
     return rc, {"point_index": point.index, "task": cfg.task,
                 "config": record_cfg, "version": __version__, "seed": rc.seed}
@@ -311,7 +340,7 @@ def _execute_point(cfg, point):
     try:
         rng = (np.random.default_rng([cfg.reservoir.seed, point.index])
                if rc.backend != "exact" else None)
-        record["metrics"] = _json_safe(TASK_RUNNERS[cfg.task](cfg, rc, rng))
+        record["metrics"] = _json_safe(TASKS[cfg.task].run(cfg, rc, rng))
         record["status"] = "ok"
     except Exception as exc:  # per-point failures recorded, sweep continues
         record.update(metrics={}, status="error",
@@ -355,7 +384,7 @@ def _config_payload(cfg):
         "reservoir": asdict(cfg.reservoir),
         "task_spec": _json_safe(asdict(cfg.task_spec)),
         "esn": asdict(cfg.esn) if cfg.esn is not None else None,
-        "n_esn_seeds": cfg.n_esn_seeds if cfg.task == "esn-baseline" else None,
+        "n_esn_seeds": cfg.n_esn_seeds if cfg.esn is not None else None,
         "sweep": ({k: list(v) for k, v in cfg.sweep.items()}
                   if cfg.sweep else None),
     }
@@ -364,36 +393,35 @@ def _config_payload(cfg):
 def _metric_rows(record):
     """Tidy rows (metric, delay, value) for one successful record."""
     metrics = record["metrics"]
-    if record["task"] == "stmc":
-        for name in ("r2", "rmse"):
-            for tau in sorted(metrics[name], key=int, reverse=True):
-                yield name, tau, metrics[name][tau]
-        yield "mean_rmse_short", "", metrics["mean_rmse_short"]
-    elif record["task"] == "narma5":
-        for name in ("rmse", "r2", "target_std"):
-            yield name, "", metrics[name]
-    else:
-        for name in ("median", "q1", "q3"):
-            yield name, "", metrics[name]
+    per_delay, scalars = TASKS[record["task"]].metrics
+    for name in per_delay:
+        for tau in sorted(metrics[name], key=int, reverse=True):
+            yield name, tau, metrics[name][tau]
+    for name in scalars:
+        yield name, "", metrics[name]
+
+
+def _write_csv(path, header, rows):
+    with _atomic_open(path) as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_results_csv(path, records):
     header = ["point_index", "task", "n_qubits", "n_nodes", "gamma",
               "n_repeats", "c", "n_shots", "backend", "seed",
               "metric", "delay", "value"]
-    with _atomic_open(path) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for record in records:
-            if record["status"] != "ok":
-                continue
-            c = record["config"]
-            base = [record["point_index"], record["task"], c["n_qubits"],
-                    c.get("n_nodes", ""), _fmt(c["gamma"]), c["n_repeats"],
-                    c["c"], c["n_shots"] if c["n_shots"] is not None else "",
-                    c["backend"], c["seed"]]
-            for metric, delay, value in _metric_rows(record):
-                writer.writerow(base + [metric, delay, _fmt(value)])
+    rows = []
+    for record in (r for r in records if r["status"] == "ok"):
+        c = record["config"]
+        base = [record["point_index"], record["task"], c["n_qubits"],
+                c.get("n_nodes", ""), _fmt(c["gamma"]), c["n_repeats"],
+                c["c"], c["n_shots"] if c["n_shots"] is not None else "",
+                c["backend"], c["seed"]]
+        rows += [base + [metric, delay, _fmt(value)]
+                 for metric, delay, value in _metric_rows(record)]
+    _write_csv(path, header, rows)
 
 
 def _write_manifest(outdir, cfg, filenames):
@@ -438,54 +466,22 @@ def write_outputs(cfg, records):
     return outdir
 
 
-# ---------------------------------------------------------------------------
-# figure data
-# ---------------------------------------------------------------------------
-
-def _write_fig_csv(path, header, rows):
-    with _atomic_open(path) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-_GRID = ["n_qubits", "n_repeats", "gamma"]
-
-
-def _grid_row(r, *values):
-    c = r["config"]
-    return [c["n_qubits"], c["n_repeats"], *map(_fmt, (c["gamma"], *values))]
-
-
-# (task, file, header, rows of one record and its metrics), in writing order
-_FIGURES = (
-    ("stmc", "fig_stmc_r2_vs_tau.csv", [*_GRID, "tau", "r2"],
-     lambda r, m: [_grid_row(r, tau, m["r2"][tau])
-                   for tau in sorted(m["r2"], key=int, reverse=True)]),
-    ("stmc", "fig_stmc_rmse_vs_gamma.csv",
-     [*_GRID, "mean_rmse_short", "random_guess"],
-     lambda r, m: [_grid_row(r, m["mean_rmse_short"], RANDOM_GUESS_U01)]),
-    ("narma5", "fig_narma_rmse_vs_gamma.csv", [*_GRID, "rmse", "random_guess"],
-     lambda r, m: [_grid_row(r, m["rmse"], m["target_std"])]),
-    ("esn-baseline", "fig_esn_comparison.csv", ["n_nodes", "median", "q1", "q3"],
-     lambda r, m: [[m["n_nodes"], *map(_fmt, (m["median"], m["q1"], m["q3"]))]]),
-)
-
-
 def emit_plotdata(payloads, outdir):
-    """Per-figure CSVs from one or more records.json payloads."""
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    records = [r for p in payloads for r in p["records"] if r["status"] == "ok"]
-    written = []
-    for task, name, header, rows_of in _FIGURES:
-        selected = [r for r in records if r["task"] == task]
-        if selected:
-            _write_fig_csv(outdir / name, header,
-                           [row for r in selected
-                            for row in rows_of(r, r["metrics"])])
-            written.append(name)
-    return written
+    """Per-figure CSVs from one or more records.json payloads; a payload that
+    is not a records file raises ConfigError before anything is written."""
+    try:
+        ok = [r for p in payloads for r in p["records"] if r["status"] == "ok"]
+        figures = [(name, header, [row for r in ok if r["task"] == task
+                                   for row in rows_of(r, r["metrics"])])
+                   for task, entry in TASKS.items()
+                   if any(r["task"] == task for r in ok)
+                   for name, header, rows_of in entry.figures]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed records: {type(exc).__name__}: {exc}") from exc
+    Path(outdir).mkdir(parents=True, exist_ok=True)
+    for name, header, rows in figures:
+        _write_csv(Path(outdir) / name, header, rows)
+    return [name for name, _, _ in figures]
 
 
 # ---------------------------------------------------------------------------
@@ -561,8 +557,11 @@ def cmd_sweep(cfg, workers):
 def cmd_plotdata(records_paths, outdir):
     payloads = []
     for path in records_paths:
-        with open(path) as handle:
-            payloads.append(json.load(handle))
+        try:
+            with open(path) as handle:
+                payloads.append(json.load(handle))
+        except (OSError, ValueError) as exc:  # ValueError: not JSON text
+            raise ConfigError(f"cannot read records {path}: {exc}") from exc
     if outdir is None:
         outdir = os.path.dirname(os.path.abspath(records_paths[0]))
     written = emit_plotdata(payloads, outdir)

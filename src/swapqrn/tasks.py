@@ -9,6 +9,7 @@ recursion after seeing ``z[t]``; the first five targets lean on zero-padded
 history and are dropped.
 """
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -39,6 +40,17 @@ class StmcSpec:
         if min(self.n_total, self.n_train, self.n_test) < 1 or self.n_washout < 0:
             raise ValueError("counts must be positive (washout may be 0)")
         check_seed(self.seed)
+        # every quantum feature row sums to 1, so without a ridge term the
+        # centred design is singular
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
+        # the longest delay and the washout come off the front, and one
+        # sample must follow the training split
+        need = (self.n_washout + self.n_train + 1
+                + max((-tau for tau in self.delays), default=0))
+        if self.n_total < need:
+            raise ValueError(f"n_total={self.n_total} leaves no test sample; "
+                             f"these delays, washout and n_train need {need}")
 
 
 @dataclass(frozen=True)
@@ -62,6 +74,14 @@ class NarmaSpec:
         check_seed(self.seed)
         if self.n_washout >= self.n_train:
             raise ValueError("washout must leave training samples")
+        # 0 stays legal: the ESN baseline's tanh states are not singular
+        if not 0.0 <= self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
+        # the first five targets are dropped, and one sample must follow
+        # the training split
+        if self.n_total < self.n_train + 6:
+            raise ValueError(f"n_total={self.n_total} leaves no test sample; "
+                             f"n_train={self.n_train} needs {self.n_train + 6}")
 
 
 @dataclass(frozen=True)
@@ -78,9 +98,9 @@ class EsnConfig:
             raise ValueError(f"n_nodes must be >= 1, got {self.n_nodes}")
         if not 0.0 < self.leak_rate <= 1.0:
             raise ValueError(f"leak_rate must be in (0, 1], got {self.leak_rate}")
-        if self.spectral_radius <= 0.0:
-            raise ValueError(
-                f"spectral_radius must be > 0, got {self.spectral_radius}")
+        if not 0.0 < self.spectral_radius < math.inf:
+            raise ValueError(f"spectral_radius must be finite and > 0, "
+                             f"got {self.spectral_radius}")
         check_seed(self.seed)
 
 

@@ -9,10 +9,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from swapqrn.channel import ground_state
+from swapqrn.channel import (collapse, collapse_tables, collapse_workspace,
+                             ground_state)
 from swapqrn.embedding import (compute_angles, context_window, crz_ring_diagonal,
                                embedding_unitary, kron_layer, rotation_stack)
-from swapqrn.gates import check_gamma, damping_probability, swap_coefficients
+from swapqrn.gates import (check_gamma, damping_probability, n_qubits_of,
+                           swap_coefficients)
 from swapqrn.tasks import esn_init, gen_uniform, score_narma_features
 
 
@@ -148,6 +150,26 @@ def trajectory_step_amplitudes(states: np.ndarray, gamma: float,
         states /= np.sqrt(np.sum(np.abs(states) ** 2, axis=1))[:, None]
         bits |= take.astype(np.int64) << q
     return states, bits
+
+
+def trajectory_step(states: np.ndarray, gamma: float, uniforms: np.ndarray):
+    """The package's collapse kernel as one call: one round on an
+    ``(m, 2**n_mem)`` batch of pure states with ``(m, n_mem)`` uniforms.
+
+    Not an independent reference: it allocates the tables and a workspace
+    and runs :func:`swapqrn.channel.collapse`, so that tests can check the
+    kernel against the oracles above.  Returns (collapsed states, outcome
+    bitstrings as int64), both new arrays.
+    """
+    gamma = check_gamma(gamma)
+    states = np.ascontiguousarray(states, dtype=complex)
+    m, dim = states.shape
+    n = n_qubits_of(dim)
+    if np.shape(uniforms) != (m, n):
+        raise ValueError(f"uniforms shape {np.shape(uniforms)} != {(m, n)}")
+    return collapse(states, np.asarray(uniforms, dtype=float),
+                    damping_probability(gamma), *collapse_tables(gamma, n),
+                    collapse_workspace(m, n))
 
 
 # ---------------------------------------------------------------------------

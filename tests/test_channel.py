@@ -4,12 +4,11 @@ from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from swapqrn.channel import (
-    damping_channel, outcome_distribution, purity, trajectory_step,
-    ground_state, rehermitize,
+    damping_channel, outcome_distribution, purity, ground_state, rehermitize,
 )
 
 import oracles
-from oracles import check_density_matrix, kraus_pair
+from oracles import check_density_matrix, kraus_pair, trajectory_step
 
 GAMMA_GRID = np.round(np.arange(0.05, 1.0001, 0.05), 10)
 

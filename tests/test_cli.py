@@ -4,6 +4,8 @@ import subprocess
 import sys
 import tempfile
 from concurrent.futures import Future
+from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -153,6 +155,34 @@ class TestParseConfig:
                                flag_overrides={"n_qubits_grid": "2,48"})
         assert cfg.sweep["n_qubits"] == (2, 48)
 
+    @pytest.mark.parametrize("task, flags, section", [
+        ("stmc", ["--alpha", "-1"], ""),
+        ("stmc", ["--alpha", "0"], ""),
+        ("stmc", [], "alpha = inf"),
+        ("narma5", ["--alpha", "-1"], ""),
+        ("narma5", [], "alpha = nan"),
+        ("esn-baseline", [], "spectral_radius = inf"),
+        ("stmc", [], "n_total = 10"),
+        ("stmc", [], "n_total = 55\nn_train = 30\nn_test = 10"),
+        ("narma5", [], "n_total = 45\nn_train = 40\nn_test = 10"),
+    ], ids=["stmc-alpha-negative", "stmc-alpha-zero", "stmc-alpha-inf",
+            "narma5-alpha-negative", "narma5-alpha-nan",
+            "esn-spectral-radius-inf", "stmc-series-10", "stmc-series-55",
+            "narma5-series-45"])
+    def test_unrunnable_task_refused_before_writing(self, tmp_path, capsys,
+                                                     task, flags, section):
+        """A [task] value that must fail or give nan at run time exits 2
+        with one config error line and nothing written."""
+        path = write_config(tmp_path, f"[task]\n{section}\n")
+        out = tmp_path / "out"
+        code = cli.main(["run", "--task", task, "--n-qubits", "2", "--config",
+                         path, "--outdir", str(out), *flags])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config error in [task]: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_output_root_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SWAPQRN_OUTPUT_ROOT", str(tmp_path))
         cfg = cli.parse_config(task="stmc")
@@ -210,6 +240,69 @@ class TestSweepGrid:
         assert code == 2
         assert f"sweep.{axis}: " in capsys.readouterr().err
         assert not out.exists()
+
+
+def tiny_task_config(tmp_path, task):
+    """A fixed 2-qubit config of ``task``."""
+    return write_config(tmp_path, f"""
+[experiment]
+task = {task}
+
+[reservoir]
+n_qubits = 2
+gamma = 0.5
+
+[task]
+n_total = 120
+n_train = 60
+n_test = 30
+n_washout = 10
+""" + ("n_esn_seeds = 2\n" if task == "esn-baseline" else ""))
+
+
+STMC_DELAYS = [str(-k) for k in range(11)]
+GAMMAS = [round(0.05 * k, 10) for k in range(1, 21)]
+
+
+class TestTaskTable:
+    """What each task's entry in cli.TASKS decides: the default sweep grid,
+    the rows of one point in results.csv, and the MANIFEST of a config."""
+
+    # task: (the default grid's n_qubits, gamma and n_repeats axes, in sweep
+    # order; one point's (metric, delay) rows; the config_sha256 of
+    # tiny_task_config, which depends on the config alone, so it holds
+    # across numpy and BLAS builds)
+    PINS = {
+        "stmc": (
+            (range(2, 17, 2), GAMMAS, (1, 3)),
+            [("r2", d) for d in STMC_DELAYS] + [("rmse", d) for d in STMC_DELAYS]
+            + [("mean_rmse_short", "")],
+            "0d926db61ab90583a9d613d4edd97f47cda7e5c914b45410d4a406762586cb20"),
+        "narma5": (
+            ((12,), GAMMAS, (1, 3)),
+            [("rmse", ""), ("r2", ""), ("target_std", "")],
+            "3eecb2a4ec89bdb6d937ab965dc5068890ff8799d79452622d43e8f10742efef"),
+        "esn-baseline": (
+            (range(2, 17, 2), (0.75,), (3,)),
+            [("median", ""), ("q1", ""), ("q3", "")],
+            "7a05f4615cac4ca651deb7cc49a15abb2d3aaa62c449f9faa8650f79e3ef0458"),
+    }
+
+    @pytest.mark.parametrize("task", list(PINS))
+    def test_entry_decides(self, tmp_path, task):
+        axes, rows, digest = self.PINS[task]
+        points = cli.sweep_points(cli.parse_config(task=task))
+        assert [(p.index, p.n_qubits, p.gamma, p.n_repeats) for p in points] == [
+            (i, *values) for i, values in enumerate(product(*axes))]
+
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", tiny_task_config(tmp_path, task),
+                         "--outdir", str(out)]) == 0
+        lines = (out / "results.csv").read_text().splitlines()
+        assert [tuple(line.split(",")[10:12]) for line in lines[1:]] == rows
+        assert (out / "MANIFEST").read_text() == (
+            f"artifact swapqrn 0.1.0\nconfig_sha256 {digest}\n"
+            "file records.json\nfile results.csv\n")
 
 
 HASHED_CONFIG = {
@@ -488,14 +581,14 @@ class TestSweepVerb:
             assert (serial / fname).read_bytes() == (capped / fname).read_bytes()
 
     def test_point_failure_recorded_and_sweep_continues(self, tmp_path, monkeypatch):
-        real = cli.TASK_RUNNERS["stmc"]
+        real = cli.TASKS["stmc"].run
 
         def flaky(cfg, rc, rng):
             if rc.gamma == 1.0:
                 raise RuntimeError("boom at gamma=1")
             return real(cfg, rc, rng)
 
-        monkeypatch.setitem(cli.TASK_RUNNERS, "stmc", flaky)
+        monkeypatch.setitem(cli.TASKS, "stmc", replace(cli.TASKS["stmc"], run=flaky))
         path = write_config(
             tmp_path, TINY_STMC + "\n[sweep]\ngamma = 0.5, 1.0\nn_qubits = 2\nn_repeats = 1\n")
         out = tmp_path / "out"
@@ -510,7 +603,7 @@ class TestSweepVerb:
     def test_crashed_worker_recorded_and_outputs_written(self, tmp_path, monkeypatch):
         """A worker that dies mid-point turns every lost point into an error
         record; the points that finished are still merged and written."""
-        real = cli.TASK_RUNNERS["stmc"]
+        real = cli.TASKS["stmc"].run
 
         def dies(cfg, rc, rng):
             if rc.gamma == 1.0:
@@ -519,7 +612,7 @@ class TestSweepVerb:
 
         # the pool forks, so its workers inherit the patched runner; a
         # 2-worker pool even on one CPU, so the runner never exits pytest
-        monkeypatch.setitem(cli.TASK_RUNNERS, "stmc", dies)
+        monkeypatch.setitem(cli.TASKS, "stmc", replace(cli.TASKS["stmc"], run=dies))
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         path = write_config(
             tmp_path, TINY_STMC + "\n[sweep]\ngamma = 0.5, 1.0\nn_qubits = 2\nn_repeats = 1\n")
@@ -615,6 +708,31 @@ n_qubits = 2, 4
         assert lines[0] == "n_nodes,median,q1,q3"
         assert [line.split(",")[0] for line in lines[1:]] == ["1", "2"]
 
+
+    @pytest.mark.parametrize("text", [
+        None,
+        "directory",
+        "{\"records\": [\n",
+        json.dumps({"records": [
+            {"status": "ok", "metrics": {"median": 0.1, "q1": 0.1, "q3": 0.1}}]}),
+        json.dumps({"records": [
+            {"status": "ok", "task": "narma5", "config": {
+                "n_qubits": 2, "n_repeats": 1, "gamma": 0.5}}]}),
+    ], ids=["missing", "unreadable", "not-json", "no-task", "no-metrics"])
+    def test_bad_records_refused(self, tmp_path, capsys, text):
+        """An unreadable or malformed records file exits 2 with one config
+        error line and writes no figure file."""
+        path = tmp_path / "records.json"
+        if text == "directory":
+            path.mkdir()
+        elif text is not None:
+            path.write_text(text)
+        out = tmp_path / "figs"
+        code = cli.main(["plotdata", "--records", str(path), "--outdir", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert not out.exists()
 
 def test_failed_write_leaves_no_files(tmp_path):
     """A write that raises leaves neither the target nor its temp file."""

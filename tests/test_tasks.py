@@ -59,6 +59,52 @@ class TestSeedValidation:
         assert cls(**kwargs, seed=seed).seed == seed
 
 
+class TestSpecChecks:
+    """A value that must fail, or give nan, at run time is refused when the
+    spec is built."""
+
+    @pytest.mark.parametrize("cls, kwargs, match", [
+        (StmcSpec, dict(alpha=-1.0), "alpha"),
+        (StmcSpec, dict(alpha=0.0), "alpha"),
+        (StmcSpec, dict(alpha=np.inf), "alpha"),
+        (StmcSpec, dict(alpha=np.nan), "alpha"),
+        (NarmaSpec, dict(alpha=-1.0), "alpha"),
+        (NarmaSpec, dict(alpha=np.inf), "alpha"),
+        (NarmaSpec, dict(alpha=np.nan), "alpha"),
+        (EsnConfig, dict(n_nodes=2, spectral_radius=np.inf), "spectral_radius"),
+        (EsnConfig, dict(n_nodes=2, spectral_radius=np.nan), "spectral_radius"),
+        (StmcSpec, dict(n_total=10), "n_total"),
+        (StmcSpec, dict(n_total=55, n_train=30, n_test=10), "n_total"),
+        (StmcSpec, dict(n_total=54, n_train=30, n_test=10, delays=(0, -9)),
+         "n_total"),
+        (NarmaSpec, dict(n_total=45, n_train=40, n_test=10), "n_total"),
+    ], ids=["stmc-alpha-negative", "stmc-alpha-zero", "stmc-alpha-inf",
+            "stmc-alpha-nan", "narma-alpha-negative", "narma-alpha-inf",
+            "narma-alpha-nan", "esn-radius-inf", "esn-radius-nan",
+            "stmc-series-10", "stmc-series-55", "stmc-series-54-delay-9",
+            "narma-series-45"])
+    def test_refused(self, cls, kwargs, match):
+        with pytest.raises(ValueError, match=f"^{match}"):
+            cls(**kwargs)
+
+    def test_shortest_series_leaves_one_test_sample(self):
+        """The length bounds are exact: one sample fewer is refused above."""
+        rng = np.random.default_rng(0)
+        stmc = StmcSpec(n_total=56, n_train=30, n_test=10)
+        u = gen_uniform(stmc.seed, stmc.n_total)
+        result = score_stmc_features(rng.random((56, 4)), u, stmc)
+        assert result.n_test_used[-10] == 1
+        narma = NarmaSpec(n_total=46, n_train=40, n_test=10)
+        z = gen_uniform(narma.seed, narma.n_total, 0.0, 0.5)
+        assert score_narma_features(rng.random((46, 4)), z, narma).n_test_used == 1
+
+    def test_zero_alpha_runs_the_esn(self):
+        """NarmaSpec keeps alpha = 0: the ESN's tanh states are not singular."""
+        spec = NarmaSpec(n_total=200, n_train=120, n_test=60, alpha=0.0)
+        summary = run_esn_narma(spec, EsnConfig(n_nodes=4), n_seeds=3)
+        assert np.all(np.isfinite(summary.rmse))
+
+
 class TestNarma5:
 
     def test_oracle_hand_values_on_zero_input(self):
@@ -165,10 +211,9 @@ class TestRunStmc:
         assert result.n_test_used[-10] == 275
 
     def test_insufficient_samples_raise(self):
-        spec = StmcSpec(n_total=300)
         u = gen_uniform(0, 300)
         with pytest.raises(ValueError):
-            score_stmc_features(np.zeros((300, 2)), u, spec)
+            score_stmc_features(np.zeros((300, 2)), u, StmcSpec())
 
 
 class TestRunNarma:
