@@ -7,10 +7,8 @@ p = sin^2(pi gamma / 2). The joint register is never materialized.
 
 The channel splits into an in-place transfer (:func:`damping_transfer`) and
 the scaling S = (x)_q diag(1, A) on rows and S^+ on columns
-(:func:`damping_scale`).  S is a product of one-qubit operators, so the exact
-reservoir kernel folds it into the next step's rotation gates and runs only
-the transfer on the state it owns; :func:`damping_channel` applies both to a
-copy.
+(:func:`damping_scale`).  The exact reservoir kernel folds S, a product of
+one-qubit operators, into the next step's gates and runs only the transfer.
 """
 
 from __future__ import annotations
@@ -22,21 +20,23 @@ from .gates import check_gamma, damping_probability, n_qubits_of, swap_coefficie
 
 def ground_state(n_qubits: int) -> np.ndarray:
     """|0..0><0..0| on n_qubits."""
-    dim = 1 << n_qubits
-    rho = np.zeros((dim, dim), dtype=complex)
+    rho = np.zeros((1 << n_qubits,) * 2, dtype=complex)
     rho[0, 0] = 1.0
     return rho
 
 
-def transfer_views(rho: np.ndarray, buf: np.ndarray) -> list:
+def transfer_views(state: np.ndarray, buf: np.ndarray, inner: int = 1) -> list:
     """Per qubit, the (t00, t11, scratch) operands of :func:`damping_transfer`
-    on rho: its rho[..0.., ..0..] and rho[..1.., ..1..] blocks and ``buf``,
-    a complex buffer of a quarter of rho's entries, each as a
-    (hi, lo, hi, lo) view."""
-    n = n_qubits_of(rho.shape[0])
+    on ``state``, read as the row and column bit axes of n qubits leading and
+    ``inner`` entries trailing: its [..0.., ..0..] and [..1.., ..1..] blocks
+    and ``buf``, a complex buffer of a quarter of state's entries, each as a
+    (hi, lo, hi, lo, inner) view.  A density matrix is the case inner=1."""
+    n = n_qubits_of(state.size // inner) // 2
     halves = [(1 << (n - 1 - q), 1 << q) for q in range(n)]
-    return [(t[:, 0, :, :, 0], t[:, 1, :, :, 1], buf.reshape(hi, lo, hi, lo))
-            for hi, lo in halves for t in [rho.reshape(hi, 2, lo, hi, 2, lo)]]
+    return [(t[:, 0, :, :, 0], t[:, 1, :, :, 1],
+             buf.reshape(hi, lo, hi, lo, inner))
+            for hi, lo in halves
+            for t in [state.reshape(hi, 2, lo, hi, 2, lo, inner)]]
 
 
 def damping_transfer(views: list, p: float) -> None:
@@ -87,13 +87,14 @@ def povm_matrix(gamma: float, n: int) -> np.ndarray:
     return m
 
 
-def outcome_row(rho: np.ndarray, povm: np.ndarray) -> np.ndarray:
-    """``povm`` (a :func:`povm_matrix`) applied to diag(rho), whose entries
-    below -1e-10 raise ``ValueError`` and above it are clipped at 0."""
-    d = rho.diagonal().real
+def outcome_row(populations: np.ndarray, povm: np.ndarray) -> np.ndarray:
+    """``povm`` (a :func:`povm_matrix`) applied to ``populations``, diag(rho)
+    in any shape that reads in index order, whose entries below -1e-10 raise
+    ``ValueError`` and above it are clipped at 0."""
+    d = populations.real
     if d.min() < -1e-10:
         raise ValueError(f"density matrix has negative population {d.min():.3e}")
-    return povm @ np.maximum(d, 0.0)
+    return povm @ np.maximum(d, 0.0).reshape(-1)
 
 
 def outcome_distribution(rho: np.ndarray, gamma: float) -> np.ndarray:
@@ -104,7 +105,7 @@ def outcome_distribution(rho: np.ndarray, gamma: float) -> np.ndarray:
     """
     gamma = check_gamma(gamma)
     rho = np.asarray(rho)
-    return outcome_row(rho, povm_matrix(gamma, n_qubits_of(rho.shape[0])))
+    return outcome_row(rho.diagonal(), povm_matrix(gamma, n_qubits_of(len(rho))))
 
 
 def purity(rho: np.ndarray) -> float:
@@ -151,21 +152,16 @@ def collapse(states, uniforms, p, coef, src, ws):
 
     ``uniforms`` (m, n) holds each row's [0, 1) draw per qubit.  K0 and K1
     map basis states to basis states, so the outcomes are drawn from the
-    weights w = |psi|^2 alone, qubits in ascending order: qubit q is taken
-    with probability p w1 / (w0 + w1), w1 and w0 its bit-1 and bit-0 sums,
-    and is then summed out of w.  Outcome c's Kraus string acts as one
-    gather with the tables of :func:`collapse_tables`,
+    weights w = |psi|^2, held transposed as (2**n >> q, m), qubits in
+    ascending order: qubit q is taken with probability p w1 / (w0 + w1), w1
+    and w0 its bit-1 and bit-0 sums, and is then summed out of w.  Outcome
+    c's Kraus string is one gather with the :func:`collapse_tables`,
     (K_c psi)_i = B^|c| A^|i| psi_{i|c} where i & c = 0, else 0.  Rows never
-    mix, so a row's result does not depend on the batch it rides in.
-    Returns the collapsed states, a view into ``ws``, and the int64
+    mix.  Returns the collapsed states, a view into ``ws``, and the int64
     outcomes; ``states``, a C-contiguous complex (m, 2**n) batch, is read
-    only.
-    The weights are held transposed, (2**n >> q, m), so every operation of
-    the draw loop runs along the m rows.  No complex ``out=`` aliases one of
-    its own inputs: numpy's in-place complex multiply rounds differently
-    from its out-of-place one, so an aliased step would not reproduce a
-    fresh-array step bit for bit.  A float64 add or multiply in place rounds
-    as it does out of place.
+    only.  No complex ``out=`` aliases one of its inputs: numpy's in-place
+    complex multiply may round unlike its out-of-place one (a float64 add or
+    multiply rounds alike).
     """
     m, n = uniforms.shape
     sq = np.square(states.view(float), out=ws["sq"])  # Re^2, Im^2 interleaved

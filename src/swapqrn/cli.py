@@ -169,6 +169,8 @@ def parse_config(task=None, config_path=None, flag_overrides=None):
         # a task whose [task] section configures an ESN runs one per point
         esn = (EsnConfig(n_nodes=reservoir.n_mem, seed=task_spec.seed, **esn_kwargs)
                if _ESN_SCHEMA.keys() <= entry.schema.keys() else None)
+        if esn is None and task_spec.alpha == 0:  # quantum rows sum to 1
+            raise ValueError(f"alpha must be > 0 for {task}, got 0.0")
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config error in [task]: {exc}") from exc
 
@@ -467,21 +469,28 @@ def write_outputs(cfg, records):
 
 
 def emit_plotdata(payloads, outdir):
-    """Per-figure CSVs from one or more records.json payloads; a payload that
-    is not a records file raises ConfigError before anything is written."""
-    try:
-        ok = [r for p in payloads for r in p["records"] if r["status"] == "ok"]
-        figures = [(name, header, [row for r in ok if r["task"] == task
-                                   for row in rows_of(r, r["metrics"])])
-                   for task, entry in TASKS.items()
-                   if any(r["task"] == task for r in ok)
-                   for name, header, rows_of in entry.figures]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed records: {type(exc).__name__}: {exc}") from exc
+    """Per-figure CSVs from (path, payload) pairs of records.json files; a
+    payload that is not a records file, or holds an ``ok`` record of a task
+    not in :data:`TASKS`, raises ConfigError naming its path before anything
+    is written."""
+    figures = {}  # file name -> (header, rows), rows in record order
+    for path, payload in payloads:
+        try:
+            for r in payload["records"]:
+                if r["status"] != "ok":
+                    continue
+                if r["task"] not in TASKS:
+                    raise LookupError(f"unknown task {r['task']!r}")
+                for name, header, rows_of in TASKS[r["task"]].figures:
+                    figures.setdefault(name, (header, []))[1].extend(
+                        rows_of(r, r["metrics"]))
+        except (LookupError, TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed records {path}: "
+                              f"{type(exc).__name__}: {exc}") from exc
     Path(outdir).mkdir(parents=True, exist_ok=True)
-    for name, header, rows in figures:
+    for name, (header, rows) in figures.items():
         _write_csv(Path(outdir) / name, header, rows)
-    return [name for name, _, _ in figures]
+    return list(figures)
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +568,7 @@ def cmd_plotdata(records_paths, outdir):
     for path in records_paths:
         try:
             with open(path) as handle:
-                payloads.append(json.load(handle))
+                payloads.append((path, json.load(handle)))
         except (OSError, ValueError) as exc:  # ValueError: not JSON text
             raise ConfigError(f"cannot read records {path}: {exc}") from exc
     if outdir is None:

@@ -4,20 +4,12 @@ One reservoir step embeds the current input window into the memory register
 with a parameterised unitary, reads the register through partial-SWAP
 couplings to fresh ancilla qubits, and keeps the damped memory state for the
 next step.  The per-step feature vector is the probability distribution over
-readout bitstrings of the post-embedding state.
-
-Three backends produce the feature matrix:
-
-``exact``
-    deterministic recursion on the reduced memory density matrix; rows are
-    exact Born distributions.
-``sampled``
-    the exact rows, each replaced by multinomial frequencies at ``n_shots``
-    draws, modelling finite measurement statistics.
-``trajectory``
-    full Monte-Carlo wavefunction unravelling: every shot propagates a pure
-    state through stochastic collapse at each step, and rows are bitstring
-    frequencies across shots.
+readout bitstrings of the post-embedding state.  Three backends produce the
+feature matrix: ``exact``, the deterministic recursion on the reduced memory
+density matrix, whose rows are exact Born distributions; ``sampled``, those
+rows replaced by multinomial frequencies at ``n_shots`` draws; and
+``trajectory``, a Monte-Carlo wavefunction unravelling in which every shot
+propagates a pure state through stochastic collapse at each step.
 """
 
 import csv
@@ -108,11 +100,12 @@ def check_memory(cfg, n_steps):
     allocated; raises ``ValueError`` when that exceeds physical memory.
 
     Counted: every step's rotations, 256 B per step and qubit.  Exact and
-    sampled: the three rho-sized arrays of :func:`_kernel_plan` (held rho,
-    work buffer, CRZ phase matrix; the final Hermiticity check holds as
-    many), numpy's 256 KiB of buffers for the strided transfer, the
-    :func:`_gate_pairs` stacks (two pairs at n_repeats > 1), the POVM matrix
-    and the feature matrix, which the sampled draws copy three times more.
+    sampled: the held state, the second buffer (the ground state's own
+    memory) and the CRZ phase of :func:`_kernel_plan` (the final Hermiticity
+    check, on the held state alone, allocates two more), numpy's 256 KiB of
+    buffers for the strided transfer passes, the :func:`_gate_pairs` stacks
+    (two pairs at n_repeats > 1), the POVM matrix and the feature matrix,
+    which the sampled draws copy three times more.
     Trajectory: one chunk's uniform block, then the larger of about 1 KiB
     per spawned shot generator and the chunk's step arrays, which never
     coexist; the collapse tables, up to four dim x dim complex arrays while
@@ -149,81 +142,89 @@ def check_physical_memory(need, what):
 
 
 def _gate_pairs(rots, fold, n_repeats):
-    """(r_hi, c_lo) of the rotation layer R = R_hi (x) R_lo for rotations
-    ``rots`` (..., n_mem, 2, 2), leading axes carried through: R_hi and
-    R_lo^+ of R S, where ``fold`` is the factor A of S = (x)_q diag(1, A)
-    (column 1 of every 2x2 gate times A), then, at ``n_repeats`` > 1, of R."""
-    n_lo = rots.shape[-3] // 2  # qubits in the low half of the register
+    """(G_hi, G_lo), the Kronecker blocks of the top ceil(n/2) and low
+    floor(n/2) qubits, for rotations ``rots`` (..., n_mem, 2, 2), leading
+    axes carried through: of R S, where ``fold`` is the factor A of
+    S = (x)_q diag(1, A) (column 1 of every 2x2 gate times A), then, at
+    ``n_repeats`` > 1, of R."""
+    n_lo = rots.shape[-3] // 2
     pairs = ()
     for gates in (rots * [1.0, fold], rots)[:min(n_repeats, 2)]:
         pairs += (kron_layer(gates[..., n_lo:, :, :]),
-                  kron_layer(gates[..., :n_lo, :, :]).conj().swapaxes(-1, -2))
+                  kron_layer(gates[..., :n_lo, :, :]))
     return pairs
 
 
 def _kernel_plan(rho, weights, cfg):
-    """What every step on the held, C-contiguous ``rho`` shares, built once
-    per run: rho and one work buffer, each also as (dim d_hi, d_lo) columns
-    and (d_hi, d_lo dim) rows, rho's transpose, its :func:`transfer_views`
-    with the front of the work buffer as scratch, the CRZ phase
-    crz_i conj(crz_j), the :func:`povm_matrix` and the damping probability."""
-    work, d_lo = np.empty_like(rho), 1 << cfg.n_mem // 2
-    cols, rows = (-1, d_lo), (len(rho) // d_lo, -1)
-    crz = crz_ring_diagonal(weights.w_hidden)
-    return (rho, work, rho.T, rho.reshape(cols), rho.reshape(rows),
-            work.reshape(cols), work.reshape(rows),
-            transfer_views(rho, work.reshape(-1)[:rho.size // 4]),
-            crz[:, None] * crz.conj(), povm_matrix(cfg.gamma, cfg.n_mem),
-            damping_probability(cfg.gamma))
+    """What every step shares, built once per run.  The held state is rho,
+    axes (r_hi, r_lo) x (c_hi, c_lo), in the order (r_lo, c_lo, c_hi, r_hi);
+    rho is copied in, and its own C-contiguous memory is then the second
+    buffer.  Also: each product's (input, output) views, the CRZ phase
+    crz_i conj(crz_j) and diag(rho) in the held layout, the lo and hi
+    :func:`transfer_views` with the second buffer as scratch, the
+    :func:`povm_matrix` and the damping probability."""
+    d_lo, d_hi = 1 << cfg.n_mem // 2, 1 << (cfg.n_mem + 1) // 2
+    held = np.empty((d_lo, d_lo, d_hi, d_hi), complex)
+    np.copyto(held, rho.reshape(d_hi, d_lo, d_hi, d_lo).transpose(1, 3, 2, 0))
+    other = rho.reshape(-1)
+    crz = crz_ring_diagonal(weights.w_hidden).reshape(d_hi, d_lo).T
+    return (held, [(x.reshape(d, -1).T, y.reshape(-1, d)) for x, y, d in [
+                (held, other, d_lo), (other, held, d_lo),
+                (held, other, d_hi), (other, held, d_hi)]],
+            crz[:, None, None, :] * crz.conj()[:, :, None],
+            held.diagonal().diagonal().T,
+            *(transfer_views(held, other[:rho.size // 4], d * d)
+              for d in (d_hi, d_lo)),
+            povm_matrix(cfg.gamma, cfg.n_mem), damping_probability(cfg.gamma))
 
 
-def _kernel_step(plan, gates, n_repeats):
-    """One step without forming U, in place on the held rho of ``plan``;
-    returns the readout row of rho_emb and leaves T(rho_emb), T the damping
-    transfer, in rho.  ``gates`` is the step's slice of :func:`_gate_pairs`:
-    the first repeat applies its folded pair G, every later one the unfolded
-    pair.  rho is Hermitian, so G rho G^+ = G (G rho)^+: a repeat runs the
-    two one-call products W = (G_hi (x) 1) rho (1 (x) G_lo^+) on rho and
-    again on W^+, then the CRZ ring as one phase pass.  The six moves
-    alternate between rho and the work buffer and end in rho.
-    """
-    (rho, work, rho_t, rho_cols, rho_rows, work_cols, work_rows, transfer,
-     phase, povm, p) = plan
+def _kernel_step(plan, gates, n_repeats, pending):
+    """One step on the held state of ``plan``, without forming U: returns
+    the readout row of rho_emb and leaves T_lo(rho_emb) held, T_lo the
+    transfer of the lo qubits.  Per repeat, four one-call products each
+    multiply the leading axis by a factor of ``gates`` (the step's folded
+    :func:`_gate_pairs`, then the unfolded pair) and write it last: rows by
+    G_lo, columns by conj(G_lo), columns by conj(G_hi), rows by G_hi; then
+    the CRZ phase.  ``pending`` runs the previous step's T_hi once the lo
+    products are done and the hi axes lead: T_hi commutes with them, and
+    the fold of S is a product over qubits."""
+    held, moves, phase, diag, lo_views, hi_views, povm, p = plan
     for k in range(n_repeats):
-        r_hi, c_lo = gates[:2] if k == 0 else gates[-2:]
-        np.matmul(rho_cols, c_lo, out=work_cols)
-        np.matmul(r_hi, work_rows, out=rho_rows)
-        np.copyto(work, rho_t)  # np.conjugate(rho_t, out=) would buffer
-        np.conjugate(work, out=work)
-        np.matmul(work_cols, c_lo, out=rho_cols)
-        np.matmul(r_hi, rho_rows, out=work_rows)
-        np.multiply(work, phase, out=rho)
-    dist = outcome_row(rho, povm)
-    damping_transfer(transfer, p)
+        g_hi, g_lo = gates[:2] if k == 0 else gates[-2:]
+        factors = (g_lo.T, g_lo.conj().T, g_hi.conj().T, g_hi.T)
+        for i, ((x, y), h) in enumerate(zip(moves, factors)):
+            if i == 2 and k == 0 and pending:
+                damping_transfer(hi_views, p)
+            np.matmul(x, h, out=y)
+        np.multiply(held, phase, out=held)
+    dist = outcome_row(diag, povm)
+    damping_transfer(lo_views, p)
     return dist
 
 
 def step(rho, u_context, weights, cfg):
-    """Advance the memory state by one input and return (state, features).
-
-    The feature row is the readout distribution of the post-embedding state;
-    the returned state has already passed through the damping channel and is
-    ready for the next input.  ``rho`` must be a Hermitian
+    """Advance the memory state by one input and return (state, features):
+    the readout distribution of the post-embedding state, and that state
+    after the damping channel.  ``rho`` must be a Hermitian
     (2**n_mem, 2**n_mem) matrix: a residual max|rho - rho^+| past
     ``HEALTH_TOL``, a wrong shape, or weights for another register raise
     ``ValueError``.
     """
     _check_weights(weights, cfg)
     state = np.array(rho, dtype=complex, order="C")
-    dim = 2 ** cfg.n_mem
-    if state.shape != (dim, dim):
+    if state.shape != (2 ** cfg.n_mem,) * 2:
         raise ValueError(f"rho has shape {state.shape}, config wants "
-                         f"({dim}, {dim})")
+                         f"{(2 ** cfg.n_mem,) * 2}")
     _check_health("Hermiticity residual", np.max(np.abs(state - state.conj().T)),
                   "of the input state", ValueError)
     gates = _gate_pairs(rotation_stack(compute_angles(u_context, weights)),
                         1.0, cfg.n_repeats)
-    dist = _kernel_step(_kernel_plan(state, weights, cfg), gates, cfg.n_repeats)
+    plan = _kernel_plan(state, weights, cfg)
+    dist = _kernel_step(plan, gates, cfg.n_repeats, False)
+    back = plan[0].transpose(3, 0, 2, 1)  # into state's memory, free again
+    np.copyto(state.reshape(back.shape), back)
+    views = transfer_views(state, plan[0].reshape(-1)[:state.size // 4])
+    damping_transfer(views[cfg.n_mem // 2:], plan[-1])  # the hi qubits
     damping_scale(state, swap_coefficients(cfg.gamma)[0])
     return state, dist
 
@@ -236,33 +237,32 @@ def _check_health(name, value, where, error=FloatingPointError):
 def run_exact(u, weights, cfg):
     """Feature matrix (T, 2**n_mem) of exact readout distributions.
 
-    Every step's angles, rotations and :func:`_gate_pairs` stacks, and the
-    :func:`_kernel_plan`, are built once, before the step loop.  The held
-    state is the transferred rho, with each step's damping scaling folded
-    into the next step's rotations.  It is checked, not repaired: the trace
-    drift |sum of row t - 1| every step (the POVM columns sum to 1) and the
-    Hermiticity residual max|rho - rho^+| of the final state (the channel is
-    trace-norm contractive, so the anti-Hermitian rounding part cannot grow
-    between checks); either past ``HEALTH_TOL`` raises ``FloatingPointError``.
-    The stacks, the work buffer and the phase matrix are released first.
+    The :func:`_gate_pairs` stacks and the :func:`_kernel_plan` are built
+    before the step loop.  Each step's damping scaling is folded into the
+    next step's rotations (S|0><0|S^+ = |0><0|: exact from the start) and its
+    hi transfer deferred into the next step.  The state is checked, not
+    repaired: the trace drift |sum of row t - 1| every step (the POVM
+    columns sum to 1) and, with all else released, the Hermiticity residual
+    max|rho - rho^+| of the final state (the channel is trace-norm
+    contractive, so the anti-Hermitian part cannot grow between checks);
+    either past ``HEALTH_TOL`` raises ``FloatingPointError``.
     """
     _check_weights(weights, cfg)
     u = np.asarray(u, dtype=float)
     check_memory(cfg, len(u))
     a, _ = swap_coefficients(cfg.gamma)
-    rho = ground_state(cfg.n_mem)  # S |0><0| S^+ = |0><0|: folding A is exact
     stacks = _gate_pairs(rotation_stack(series_angles(u, weights)), a,
                          cfg.n_repeats)
-    plan = _kernel_plan(rho, weights, cfg)
+    plan = _kernel_plan(ground_state(cfg.n_mem), weights, cfg)
     features = np.empty((len(u), 2 ** cfg.n_mem))
     for t, gates in enumerate(zip(*stacks)):
-        features[t] = _kernel_step(plan, gates, cfg.n_repeats)
+        features[t] = _kernel_step(plan, gates, cfg.n_repeats, t > 0)
         _check_health("trace drift", abs(features[t].sum() - 1.0),
                       f"at step {t}")
-    stacks = gates = plan = None  # gates holds views into the stacks
-    if len(u):
-        _check_health("Hermiticity residual",
-                      np.max(np.abs(rho - rho.conj().T)), f"at step {len(u) - 1}")
+    rho, stacks, gates, plan = plan[0], None, None, None  # views into both
+    if len(u):  # rho[j, i] of the held rho[i, j]: swap rows and columns
+        _check_health("Hermiticity residual", np.max(np.abs(
+            rho - rho.transpose(1, 0, 3, 2).conj())), f"at step {len(u) - 1}")
     return features
 
 
@@ -284,16 +284,13 @@ def run_trajectories(u, weights, cfg, rng):
     """Feature matrix of bitstring frequencies over ``cfg.n_shots`` pure-state
     trajectories.
 
-    Each shot owns an independent child generator spawned from ``rng`` and
+    Each shot owns a child generator spawned from ``rng`` and
     :func:`swapqrn.channel.collapse` never mixes rows, so results do not
     depend on the batch size ``CHUNK`` and single-shot streams are
     bit-reproducible.  The collapse tables, the CRZ diagonal and every
-    step's rotations are built once per run; each step's unitary is built
-    from its rotations inside the loop.  Each chunk of up to ``CHUNK`` shots
-    allocates its own arrays once (the uniform block, the collapse
-    workspace, the embedded batch and the ground batch), so the step loop
-    allocates nothing of the batch's size, and drops them before the next
-    chunk allocates.
+    step's rotations are built once per run, each step's unitary inside the
+    loop.  Each chunk of up to ``CHUNK`` shots allocates its batch-sized
+    arrays once and drops them before the next one does.
     """
     _check_weights(weights, cfg)
     if cfg.n_shots is None:

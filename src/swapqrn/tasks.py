@@ -210,17 +210,15 @@ def run_stmc(spec, rc, weights=None, rng=None):
     return score_stmc_features(features, u, spec)
 
 
-def score_narma_features(features, z, spec):
+def score_narma_features(features, z, spec, y_aligned=None):
     """NARMA-5 ridge score for a precomputed feature matrix.
 
     The washout is removed from the training block only; the test slice is
-    the aligned tail, truncated to ``spec.n_test`` samples.
+    the aligned tail, truncated to ``spec.n_test`` samples.  ``y_aligned``
+    may hold the targets of ``narma5(z)``, computed once for many scores.
     """
-    return _score_narma(features, narma5(z)[1], spec)
-
-
-def _score_narma(features, y_aligned, spec):
-    """:func:`score_narma_features` on the aligned targets of ``narma5(z)``."""
+    if y_aligned is None:
+        y_aligned = narma5(z)[1]
     rows = np.asarray(features)[5:]
     if len(rows) != len(y_aligned):
         raise ValueError("features and input series disagree in length")
@@ -287,10 +285,8 @@ def run_esn_narma(spec, cfg, n_seeds):
     w, w_in = map(np.stack, zip(*(esn_init(cfg, rng) for rng in rngs)))
     states = esn_states(z, w, w_in, cfg.leak_rate)
     _, y = narma5(z)  # one target recursion for every seed
-    values = np.array([_score_narma(x, y, spec).metrics.rmse
+    values = np.array([score_narma_features(x, z, spec, y).metrics.rmse
                        for x in states.swapaxes(0, 1)])
-    return EsnNarmaResult(
-        rmse=values,
-        median=float(np.median(values)),
-        q1=float(np.percentile(values, 25)),
-        q3=float(np.percentile(values, 75)))
+    return EsnNarmaResult(rmse=values, median=float(np.median(values)),
+                          q1=float(np.percentile(values, 25)),
+                          q3=float(np.percentile(values, 75)))

@@ -245,21 +245,36 @@ def dense_step(rho, u_context, weights, cfg):
 def run_exact_per_step(u, weights, cfg):
     """The exact recursion with every step's gates built inside the loop:
     the angles, the rotation stack and both halves' Kronecker blocks per
-    step, the damping factor A folded into the first repeat's gates, per
-    repeat the two factored products on rho, a conjugate-transposed copy,
-    the same two products again and the CRZ phase matrix, the outcome row
-    from the clipped diagonal, and a fresh temporary per qubit's transfer.
-    Its features are the reference the per-run gate stacks and views of
+    step, the damping factor A folded into the first repeat's gates.  rho is
+    held as (r_lo, c_lo, c_hi, r_hi), hi the top ceil(n/2) qubits; per
+    repeat, four products each multiply the leading axis and move it last
+    (rows by G_lo, columns by conj(G_lo), columns by conj(G_hi), rows by
+    G_hi), then the CRZ phase.  The outcome row comes from the clipped
+    diagonal; each lo qubit's transfer runs at once, with a fresh temporary,
+    and each hi qubit's in the next step, after its two lo products.  Its
+    features are the reference the per-run gate stacks and views of
     ``run_exact`` must equal bit for bit."""
     a, _ = swap_coefficients(cfg.gamma)
     p = damping_probability(cfg.gamma)
-    rho = ground_state(cfg.n_mem)
-    crz = crz_ring_diagonal(weights.w_hidden)
-    phase = crz[:, None] * crz.conj()
     n, dim = cfg.n_mem, 2 ** cfg.n_mem
+    d_lo = 1 << n // 2
+    d_hi = dim // d_lo
+    rho = ground_state(n).reshape(d_hi, d_lo, d_hi, d_lo).transpose(1, 3, 2, 0)
+    crz = crz_ring_diagonal(weights.w_hidden).reshape(d_hi, d_lo).T
+    phase = crz[:, None, None, :] * crz.conj()[None, :, :, None]
     povm = factor = np.array([[1.0, 1.0 - p], [0.0, p]])
     for _ in range(n - 1):
         povm = np.kron(povm, factor)
+
+    def move(x, h):  # x's leading axis times h, written last
+        return (x.reshape(len(h), -1).T @ h).reshape(-1)
+
+    def transfer(x, n_bits, inner):  # n_bits pair axes lead, inner trails
+        for q in range(n_bits):
+            hi, lo = 1 << (n_bits - 1 - q), 1 << q
+            view = x.reshape(hi, 2, lo, hi, 2, lo, inner)
+            view[:, 0, :, :, 0] += p * view[:, 1, :, :, 1]
+
     features = np.empty((len(u), dim))
     for t in range(len(u)):
         rots = rotation_stack(compute_angles(context_window(u, t, cfg.c),
@@ -267,20 +282,16 @@ def run_exact_per_step(u, weights, cfg):
         gates = rots * [1.0, a]
         for k in range(cfg.n_repeats):
             if k < 2:  # repeat 0 applies R S, every later repeat the same R
-                r_hi, r_lo = kron_layer(gates[n // 2:]), kron_layer(gates[:n // 2])
-                d_hi, d_lo = len(r_hi), len(r_lo)
+                g_hi, g_lo = kron_layer(gates[n // 2:]), kron_layer(gates[:n // 2])
                 gates = rots
-            # (R_hi (x) 1) rho (1 (x) R_lo^+), then the same on its adjoint
-            x = rho.reshape(dim * d_hi, d_lo) @ r_lo.conj().T
-            x = (r_hi @ x.reshape(d_hi, d_lo * dim)).reshape(dim, dim)
-            x = x.conj().T.reshape(dim * d_hi, d_lo) @ r_lo.conj().T
-            x = (r_hi @ x.reshape(d_hi, d_lo * dim)).reshape(dim, dim)
-            rho = x * phase
-        features[t] = povm @ np.clip(np.diagonal(rho).real, 0.0, None)
-        for q in range(n):
-            view = rho.reshape(1 << (n - 1 - q), 2, 1 << q,
-                               1 << (n - 1 - q), 2, 1 << q)
-            view[:, 0, :, :, 0] += p * view[:, 1, :, :, 1]
+            x = move(move(rho, g_lo.T), g_lo.conj().T)
+            if t > 0 and k == 0:
+                transfer(x, n - n // 2, d_lo * d_lo)
+            rho = move(move(x, g_hi.conj().T), g_hi.T)
+            rho *= phase.reshape(-1)  # in place, as the kernel's
+        diag = np.einsum("aabb->ba", rho.reshape(d_lo, d_lo, d_hi, d_hi))
+        features[t] = povm @ np.clip(diag.real.reshape(-1), 0.0, None)
+        transfer(rho, n // 2, d_hi * d_hi)
     return features
 
 

@@ -160,13 +160,14 @@ class TestParseConfig:
         ("stmc", ["--alpha", "0"], ""),
         ("stmc", [], "alpha = inf"),
         ("narma5", ["--alpha", "-1"], ""),
+        ("narma5", ["--alpha", "0"], ""),
         ("narma5", [], "alpha = nan"),
         ("esn-baseline", [], "spectral_radius = inf"),
         ("stmc", [], "n_total = 10"),
         ("stmc", [], "n_total = 55\nn_train = 30\nn_test = 10"),
         ("narma5", [], "n_total = 45\nn_train = 40\nn_test = 10"),
     ], ids=["stmc-alpha-negative", "stmc-alpha-zero", "stmc-alpha-inf",
-            "narma5-alpha-negative", "narma5-alpha-nan",
+            "narma5-alpha-negative", "narma5-alpha-zero", "narma5-alpha-nan",
             "esn-spectral-radius-inf", "stmc-series-10", "stmc-series-55",
             "narma5-series-45"])
     def test_unrunnable_task_refused_before_writing(self, tmp_path, capsys,
@@ -395,6 +396,18 @@ class TestRunVerb:
                               "needs about ")
         assert "physical memory" in err
         assert not out.exists()
+
+    def test_esn_runs_at_alpha_zero(self, tmp_path):
+        """The ESN's tanh states make a regular design: alpha = 0, refused
+        for the quantum tasks, runs."""
+        out = tmp_path / "out"
+        code = cli.main(["run", "--task", "esn-baseline", "--n-qubits", "2",
+                         "--n-esn-seeds", "2", "--alpha", "0",
+                         "--outdir", str(out)])
+        assert code == 0
+        payload = json.loads((out / "records.json").read_text())
+        assert payload["config"]["task_spec"]["alpha"] == 0.0
+        assert [r["status"] for r in payload["records"]] == ["ok"]
 
     def test_esn_seed_count_below_one_rejected(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -733,6 +746,34 @@ n_qubits = 2, 4
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert not out.exists()
+
+    def test_unknown_task_refused(self, tmp_path, capsys):
+        """An ok record of a task the CLI does not know exits 2 with one
+        line naming the task and the records file."""
+        path = tmp_path / "records.json"
+        path.write_text(json.dumps({"records": [
+            {"status": "ok", "task": "nrama5", "metrics": {"rmse": 0.1},
+             "config": {"n_qubits": 2, "n_repeats": 1, "gamma": 0.5}}]}))
+        out = tmp_path / "figs"
+        code = cli.main(["plotdata", "--records", str(path), "--outdir", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "'nrama5'" in err and str(path) in err
+        assert not out.exists()
+
+    def test_malformed_records_named(self, tmp_path, capsys):
+        """Of several records files, the error names the malformed one."""
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        good.write_text(json.dumps({"records": []}))
+        bad.write_text(json.dumps({"records": [{"status": "ok", "task": "narma5"}]}))
+        code = cli.main(["plotdata", "--records", str(good), str(bad),
+                         "--outdir", str(tmp_path / "figs")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: malformed records {bad}: KeyError")
+        assert str(good) not in err
+
 
 def test_failed_write_leaves_no_files(tmp_path):
     """A write that raises leaves neither the target nor its temp file."""

@@ -337,6 +337,33 @@ class TestMemoryCheck:
             tracemalloc.stop()
         assert peak <= check_memory(cfg, len(u))
 
+    def test_step_loop_allocates_less_than_rho(self, monkeypatch):
+        """At 16 qubits the traced memory during the step loop stays less
+        than one rho (1 MiB) above its level when the loop starts: a
+        transpose copy or a fresh product array per step would reach it."""
+        cfg = ReservoirConfig(n_qubits=16, gamma=0.55, n_repeats=2)
+        kernel_step, seen = reservoir._kernel_step, []
+
+        def traced_step(*args):
+            if not seen:
+                seen.append(tracemalloc.get_traced_memory()[0])
+                tracemalloc.reset_peak()
+            row = kernel_step(*args)
+            seen.append(tracemalloc.get_traced_memory()[1])
+            return row
+
+        monkeypatch.setattr(reservoir, "_kernel_step", traced_step)
+        u = np.random.default_rng(2).random(6)
+        run_exact(u[:2], init_weights(1, c=1, n_mem=1), replace(cfg, n_qubits=2))
+        seen.clear()
+        tracemalloc.start()
+        try:
+            run_exact(u, init_weights(1, c=1, n_mem=8), cfg)
+        finally:
+            tracemalloc.stop()
+        assert len(seen) == 1 + len(u)
+        assert max(seen[1:]) - seen[0] < 16 * 256 ** 2
+
     def test_exact_refused_before_allocating(self):
         cfg = ReservoirConfig(n_qubits=48, gamma=0.5, n_shots=10)
         w = init_weights(1, c=1, n_mem=24)
