@@ -5,10 +5,11 @@ measuring the readout in Z and discarding it is, on the memory register alone,
 a tensor product of single-qubit amplitude-damping channels with
 p = sin^2(pi gamma / 2). The joint register is never materialized.
 
-The channel splits into an in-place transfer (:func:`damping_transfer`) and
-the scaling S = (x)_q diag(1, A) on rows and S^+ on columns
-(:func:`damping_scale`).  The exact reservoir kernel folds S, a product of
-one-qubit operators, into the next step's gates and runs only the transfer.
+The channel is an in-place transfer (:func:`damping_transfer`) followed by
+the scaling S = (x)_q diag(1, A) on rows and S^+ on columns, both applied by
+:func:`damping_channel`.  The exact reservoir kernel folds S, a product of
+one-qubit operators, into the next step's gates and runs only the transfer;
+``reservoir.step`` calls :func:`damping_channel` on the embedded state.
 """
 
 from __future__ import annotations
@@ -47,29 +48,24 @@ def damping_transfer(views: list, p: float) -> None:
         np.add(t00, np.multiply(p, t11, out=scratch), out=t00)
 
 
-def damping_scale(rho: np.ndarray, a: complex) -> None:
-    """S rho S^+ with S = (x)_q diag(1, A), in place: row i is scaled by
-    A^popcount(i) and column j by conj(A)^popcount(j)."""
-    scale = a ** np.bitwise_count(np.arange(rho.shape[0]))
-    rho *= scale[:, None]
-    rho *= scale.conj()
-
-
 def damping_channel(rho: np.ndarray, gamma: float) -> np.ndarray:
     """Apply the per-qubit damping channel to every qubit of rho.
 
     Qubit q maps its row/col-bit blocks to [[r00 + p r11, conj(A) r01],
     [A r10, |A|^2 r11]]: the transfer r00 += p r11, then a scaling that
     commutes with every other qubit's transfer.  On a copy of rho, which is
-    left untouched, :func:`damping_transfer` runs every qubit's transfer and
-    :func:`damping_scale` then applies all the scalings at once.
+    left untouched, :func:`damping_transfer` runs every qubit's transfer in
+    ascending order, then S rho S^+, S = (x)_q diag(1, A), scales row i by
+    A^popcount(i) and column j by conj(A)^popcount(j).
     """
     gamma = check_gamma(gamma)
     out = np.array(rho, dtype=complex)
     a, _ = swap_coefficients(gamma)
     damping_transfer(transfer_views(out, np.empty(out.size // 4, complex)),
                      damping_probability(gamma))
-    damping_scale(out, a)
+    scale = a ** np.bitwise_count(np.arange(out.shape[0]))
+    out *= scale[:, None]
+    out *= scale.conj()
     return out
 
 

@@ -60,8 +60,8 @@ def _schema(cls, skip=()):
 _RESERVOIR_SCHEMA = _schema(ReservoirConfig)
 # the ESN takes its size from the reservoir and its seed from the task
 _ESN_SCHEMA = _schema(EsnConfig, skip=("n_nodes", "seed"))
-_SWEEP_SCHEMA = {"gamma": tuple[float, ...], "n_qubits": tuple[int, ...],
-                 "n_repeats": tuple[int, ...]}
+_SWEEP_SCHEMA = {axis: tuple[_RESERVOIR_SCHEMA[axis], ...]
+                 for axis in ("gamma", "n_qubits", "n_repeats")}
 _EXPERIMENT_SCHEMA = {"task": str, "outdir": str}
 
 
@@ -75,7 +75,7 @@ class ExperimentConfig:
     reservoir: ReservoirConfig
     task_spec: object
     esn: EsnConfig | None
-    n_esn_seeds: int
+    n_esn_seeds: int | None  # None: the task runs no ESN
     sweep: dict | None
     outdir: Path
 
@@ -171,6 +171,11 @@ def parse_config(task=None, config_path=None, flag_overrides=None):
                if _ESN_SCHEMA.keys() <= entry.schema.keys() else None)
         if esn is None and task_spec.alpha == 0:  # quantum rows sum to 1
             raise ValueError(f"alpha must be > 0 for {task}, got 0.0")
+        # past the echo-state regime tanh saturates, and a node whose state
+        # turns constant makes the unpenalised design singular
+        if esn is not None and task_spec.alpha == 0 and esn.spectral_radius > 1:
+            raise ValueError(f"alpha = 0 needs spectral_radius <= 1, "
+                             f"got {esn.spectral_radius}")
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config error in [task]: {exc}") from exc
 
@@ -192,7 +197,7 @@ def parse_config(task=None, config_path=None, flag_overrides=None):
     if not os.path.isabs(outdir):
         outdir = os.path.join(os.environ.get("SWAPQRN_OUTPUT_ROOT", "."), outdir)
     return ExperimentConfig(task=task, reservoir=reservoir, task_spec=task_spec,
-                            esn=esn, n_esn_seeds=n_esn_seeds,
+                            esn=esn, n_esn_seeds=n_esn_seeds if esn else None,
                             sweep=sweep or None, outdir=Path(outdir))
 
 
@@ -331,8 +336,9 @@ def _point_record(cfg, point):
     record_cfg = asdict(rc)
     if cfg.esn is not None:
         record_cfg["n_nodes"] = rc.n_mem
-    return rc, {"point_index": point.index, "task": cfg.task,
-                "config": record_cfg, "version": __version__, "seed": rc.seed}
+    return rc, _json_safe({"point_index": point.index, "task": cfg.task,
+                           "config": record_cfg, "version": __version__,
+                           "seed": rc.seed})
 
 
 def _execute_point(cfg, point):
@@ -381,15 +387,8 @@ def _fmt(value):
 
 
 def _config_payload(cfg):
-    return {
-        "task": cfg.task,
-        "reservoir": asdict(cfg.reservoir),
-        "task_spec": _json_safe(asdict(cfg.task_spec)),
-        "esn": asdict(cfg.esn) if cfg.esn is not None else None,
-        "n_esn_seeds": cfg.n_esn_seeds if cfg.esn is not None else None,
-        "sweep": ({k: list(v) for k, v in cfg.sweep.items()}
-                  if cfg.sweep else None),
-    }
+    """Every field of ``cfg`` but its output directory, as JSON values."""
+    return _json_safe({k: v for k, v in asdict(cfg).items() if k != "outdir"})
 
 
 def _metric_rows(record):
@@ -468,31 +467,6 @@ def write_outputs(cfg, records):
     return outdir
 
 
-def emit_plotdata(payloads, outdir):
-    """Per-figure CSVs from (path, payload) pairs of records.json files; a
-    payload that is not a records file, or holds an ``ok`` record of a task
-    not in :data:`TASKS`, raises ConfigError naming its path before anything
-    is written."""
-    figures = {}  # file name -> (header, rows), rows in record order
-    for path, payload in payloads:
-        try:
-            for r in payload["records"]:
-                if r["status"] != "ok":
-                    continue
-                if r["task"] not in TASKS:
-                    raise LookupError(f"unknown task {r['task']!r}")
-                for name, header, rows_of in TASKS[r["task"]].figures:
-                    figures.setdefault(name, (header, []))[1].extend(
-                        rows_of(r, r["metrics"]))
-        except (LookupError, TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed records {path}: "
-                              f"{type(exc).__name__}: {exc}") from exc
-    Path(outdir).mkdir(parents=True, exist_ok=True)
-    for name, (header, rows) in figures.items():
-        _write_csv(Path(outdir) / name, header, rows)
-    return list(figures)
-
-
 # ---------------------------------------------------------------------------
 # verbs
 # ---------------------------------------------------------------------------
@@ -564,17 +538,34 @@ def cmd_sweep(cfg, workers):
 
 
 def cmd_plotdata(records_paths, outdir):
-    payloads = []
+    """Per-figure CSVs from records.json files into ``outdir``, by default
+    beside the first; a file that is unreadable, malformed or holds an ``ok``
+    record of an unknown task is named in a ConfigError, and nothing written."""
+    figures = {}  # file name -> (header, rows), rows in record order
     for path in records_paths:
         try:
             with open(path) as handle:
-                payloads.append((path, json.load(handle)))
+                payload = json.load(handle)
         except (OSError, ValueError) as exc:  # ValueError: not JSON text
             raise ConfigError(f"cannot read records {path}: {exc}") from exc
+        try:
+            for r in payload["records"]:
+                if r["status"] != "ok":
+                    continue
+                if r["task"] not in TASKS:
+                    raise LookupError(f"unknown task {r['task']!r}")
+                for name, header, rows_of in TASKS[r["task"]].figures:
+                    figures.setdefault(name, (header, []))[1].extend(
+                        rows_of(r, r["metrics"]))
+        except (LookupError, TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed records {path}: "
+                              f"{type(exc).__name__}: {exc}") from exc
     if outdir is None:
         outdir = os.path.dirname(os.path.abspath(records_paths[0]))
-    written = emit_plotdata(payloads, outdir)
-    print(f"wrote {len(written)} figure files -> {outdir}")
+    Path(outdir).mkdir(parents=True, exist_ok=True)
+    for name, (header, rows) in figures.items():
+        _write_csv(Path(outdir) / name, header, rows)
+    print(f"wrote {len(figures)} figure files -> {outdir}")
     return 0
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from .gates import check_gamma, damping_probability, n_qubits_of, swap_coefficients
 from .channel import (
     collapse, collapse_tables, collapse_workspace, collapse_workspace_bytes,
-    damping_scale, damping_transfer, ground_state, outcome_row, povm_matrix,
+    damping_channel, damping_transfer, ground_state, outcome_row, povm_matrix,
     transfer_views,
 )
 from .embedding import (compute_angles, crz_ring_diagonal, kron_layer,
@@ -37,6 +37,13 @@ def check_seed(seed):
     if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
             or seed < 0):
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
+def check_integer(name, value):
+    """``value``, named ``name`` in the error, must be an integer; a bool
+    is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -58,11 +65,8 @@ class ReservoirConfig:
 
     def __post_init__(self):
         for name in ("n_qubits", "n_repeats", "c", "n_shots"):
-            value = getattr(self, name)
-            if value is None and name == "n_shots":
-                continue
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if getattr(self, name) is not None or name != "n_shots":
+                check_integer(name, getattr(self, name))
         if self.n_qubits < 2 or self.n_qubits % 2 != 0:
             raise ValueError(
                 f"n_qubits must be an even integer >= 2, got {self.n_qubits}")
@@ -179,16 +183,16 @@ def _kernel_plan(rho, weights, cfg):
 
 
 def _kernel_step(plan, gates, n_repeats, pending):
-    """One step on the held state of ``plan``, without forming U: returns
-    the readout row of rho_emb and leaves T_lo(rho_emb) held, T_lo the
-    transfer of the lo qubits.  Per repeat, four one-call products each
-    multiply the leading axis by a factor of ``gates`` (the step's folded
-    :func:`_gate_pairs`, then the unfolded pair) and write it last: rows by
-    G_lo, columns by conj(G_lo), columns by conj(G_hi), rows by G_hi; then
-    the CRZ phase.  ``pending`` runs the previous step's T_hi once the lo
-    products are done and the hi axes lead: T_hi commutes with them, and
-    the fold of S is a product over qubits."""
-    held, moves, phase, diag, lo_views, hi_views, povm, p = plan
+    """One step on the held state of ``plan``, without forming U: leaves
+    rho_emb held and returns its readout row.  Per repeat, four one-call
+    products each multiply the leading axis by a factor of ``gates`` (the
+    step's folded :func:`_gate_pairs`, then the unfolded pair) and write it
+    last: rows by G_lo, columns by conj(G_lo), columns by conj(G_hi), rows
+    by G_hi; then the CRZ phase.  ``pending`` runs the previous step's T_hi,
+    the hi qubits' damping transfer, once the lo products are done and the
+    hi axes lead: T_hi commutes with them, and the fold of S is a product
+    over qubits."""
+    held, moves, phase, diag, _, hi_views, povm, p = plan
     for k in range(n_repeats):
         g_hi, g_lo = gates[:2] if k == 0 else gates[-2:]
         factors = (g_lo.T, g_lo.conj().T, g_hi.conj().T, g_hi.T)
@@ -197,18 +201,16 @@ def _kernel_step(plan, gates, n_repeats, pending):
                 damping_transfer(hi_views, p)
             np.matmul(x, h, out=y)
         np.multiply(held, phase, out=held)
-    dist = outcome_row(diag, povm)
-    damping_transfer(lo_views, p)
-    return dist
+    return outcome_row(diag, povm)
 
 
 def step(rho, u_context, weights, cfg):
     """Advance the memory state by one input and return (state, features):
-    the readout distribution of the post-embedding state, and that state
-    after the damping channel.  ``rho`` must be a Hermitian
-    (2**n_mem, 2**n_mem) matrix: a residual max|rho - rho^+| past
-    ``HEALTH_TOL``, a wrong shape, or weights for another register raise
-    ``ValueError``.
+    :func:`_kernel_step` embeds rho and gives the readout row, then
+    :func:`swapqrn.channel.damping_channel` damps the embedded state.
+    ``rho`` must be a Hermitian (2**n_mem, 2**n_mem) matrix: a residual
+    max|rho - rho^+| past ``HEALTH_TOL``, a wrong shape, or weights for
+    another register raise ``ValueError``.
     """
     _check_weights(weights, cfg)
     state = np.array(rho, dtype=complex, order="C")
@@ -223,10 +225,7 @@ def step(rho, u_context, weights, cfg):
     dist = _kernel_step(plan, gates, cfg.n_repeats, False)
     back = plan[0].transpose(3, 0, 2, 1)  # into state's memory, free again
     np.copyto(state.reshape(back.shape), back)
-    views = transfer_views(state, plan[0].reshape(-1)[:state.size // 4])
-    damping_transfer(views[cfg.n_mem // 2:], plan[-1])  # the hi qubits
-    damping_scale(state, swap_coefficients(cfg.gamma)[0])
-    return state, dist
+    return damping_channel(state, cfg.gamma), dist
 
 
 def _check_health(name, value, where, error=FloatingPointError):
@@ -238,14 +237,15 @@ def run_exact(u, weights, cfg):
     """Feature matrix (T, 2**n_mem) of exact readout distributions.
 
     The :func:`_gate_pairs` stacks and the :func:`_kernel_plan` are built
-    before the step loop.  Each step's damping scaling is folded into the
-    next step's rotations (S|0><0|S^+ = |0><0|: exact from the start) and its
-    hi transfer deferred into the next step.  The state is checked, not
-    repaired: the trace drift |sum of row t - 1| every step (the POVM
-    columns sum to 1) and, with all else released, the Hermiticity residual
-    max|rho - rho^+| of the final state (the channel is trace-norm
-    contractive, so the anti-Hermitian part cannot grow between checks);
-    either past ``HEALTH_TOL`` raises ``FloatingPointError``.
+    before the step loop.  After each :func:`_kernel_step` the lo qubits'
+    damping transfer runs; the hi qubits' is deferred into the next step and
+    the scaling folded into its rotations (S|0><0|S^+ = |0><0|: exact from
+    the start).  The state is checked, not repaired: the trace drift
+    |sum of row t - 1| every step (the POVM columns sum to 1) and, with all
+    else released, the Hermiticity residual max|rho - rho^+| of the final
+    state (the channel is trace-norm contractive, so the anti-Hermitian part
+    cannot grow between checks); either past ``HEALTH_TOL`` raises
+    ``FloatingPointError``.
     """
     _check_weights(weights, cfg)
     u = np.asarray(u, dtype=float)
@@ -257,6 +257,7 @@ def run_exact(u, weights, cfg):
     features = np.empty((len(u), 2 ** cfg.n_mem))
     for t, gates in enumerate(zip(*stacks)):
         features[t] = _kernel_step(plan, gates, cfg.n_repeats, t > 0)
+        damping_transfer(plan[4], plan[-1])  # the lo qubits' views, p
         _check_health("trace drift", abs(features[t].sum() - 1.0),
                       f"at step {t}")
     rho, stacks, gates, plan = plan[0], None, None, None  # views into both

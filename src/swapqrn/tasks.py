@@ -16,10 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedding import init_weights
-from .reservoir import check_physical_memory, check_seed, run_features
+from .reservoir import (check_integer, check_physical_memory, check_seed,
+                        run_features)
 from .readout import (
     SHORT_DELAYS, Metrics, ridge_fit, predict, r_squared, rmse, mean_rmse_short,
 )
+
+COUNTS = ("n_total", "n_train", "n_test", "n_washout")  # integer spec fields
 
 
 @dataclass(frozen=True)
@@ -35,6 +38,10 @@ class StmcSpec:
     delays: tuple[int, ...] = tuple(range(0, -11, -1))
 
     def __post_init__(self):
+        for name in COUNTS:
+            check_integer(name, getattr(self, name))
+        for tau in self.delays:
+            check_integer("delays", tau)
         if any(tau > 0 for tau in self.delays):
             raise ValueError("delays must be <= 0")
         if min(self.n_total, self.n_train, self.n_test) < 1 or self.n_washout < 0:
@@ -69,6 +76,8 @@ class NarmaSpec:
     seed: int = 42
 
     def __post_init__(self):
+        for name in COUNTS:
+            check_integer(name, getattr(self, name))
         if min(self.n_total, self.n_train, self.n_test) < 1 or self.n_washout < 0:
             raise ValueError("counts must be positive (washout may be 0)")
         check_seed(self.seed)
@@ -84,6 +93,12 @@ class NarmaSpec:
                              f"n_train={self.n_train} needs {self.n_train + 6}")
 
 
+# a spectral radius past ESN_RANGE can overflow W h for a badly conditioned
+# draw, and a leak rate below 1 / ESN_RANGE makes states whose Gram matrix
+# can underflow; both lie far beyond any useful network
+ESN_RANGE = 1e100
+
+
 @dataclass(frozen=True)
 class EsnConfig:
     """Leaky echo-state network with tanh activation."""
@@ -94,12 +109,14 @@ class EsnConfig:
     seed: int = 42
 
     def __post_init__(self):
+        check_integer("n_nodes", self.n_nodes)
         if self.n_nodes < 1:
             raise ValueError(f"n_nodes must be >= 1, got {self.n_nodes}")
-        if not 0.0 < self.leak_rate <= 1.0:
-            raise ValueError(f"leak_rate must be in (0, 1], got {self.leak_rate}")
-        if not 0.0 < self.spectral_radius < math.inf:
-            raise ValueError(f"spectral_radius must be finite and > 0, "
+        if not 1 / ESN_RANGE <= self.leak_rate <= 1.0:
+            raise ValueError(f"leak_rate must be in [{1 / ESN_RANGE:g}, 1], "
+                             f"got {self.leak_rate}")
+        if not 0.0 < self.spectral_radius <= ESN_RANGE:
+            raise ValueError(f"spectral_radius must be in (0, {ESN_RANGE:g}], "
                              f"got {self.spectral_radius}")
         check_seed(self.seed)
 
@@ -277,6 +294,7 @@ def run_esn_narma(spec, cfg, n_seeds):
     """NARMA-5 RMSE distribution over seeded ESN draws, all seeds stepped in
     one recursion; seed k draws from ``default_rng([cfg.seed, k])``.  The
     states and the weights, as drawn and as stacked, must fit in memory."""
+    check_integer("n_seeds", n_seeds)
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
     check_esn_memory(spec, cfg, n_seeds)

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from concurrent.futures import Future
 from dataclasses import replace
 from itertools import product
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from swapqrn import cli
-from swapqrn.reservoir import ReservoirConfig, check_memory
+from swapqrn.reservoir import BACKENDS, ReservoirConfig, check_memory
 from swapqrn.tasks import EsnConfig, NarmaSpec, check_esn_memory
 
 
@@ -166,10 +167,13 @@ class TestParseConfig:
         ("stmc", [], "n_total = 10"),
         ("stmc", [], "n_total = 55\nn_train = 30\nn_test = 10"),
         ("narma5", [], "n_total = 45\nn_train = 40\nn_test = 10"),
+        ("esn-baseline", [], "spectral_radius = 1.7e308"),
+        ("esn-baseline", ["--alpha", "0"], "spectral_radius = 1.5"),
     ], ids=["stmc-alpha-negative", "stmc-alpha-zero", "stmc-alpha-inf",
             "narma5-alpha-negative", "narma5-alpha-zero", "narma5-alpha-nan",
             "esn-spectral-radius-inf", "stmc-series-10", "stmc-series-55",
-            "narma5-series-45"])
+            "narma5-series-45", "esn-spectral-radius-overflow",
+            "esn-alpha-zero-radius-above-one"])
     def test_unrunnable_task_refused_before_writing(self, tmp_path, capsys,
                                                      task, flags, section):
         """A [task] value that must fail or give nan at run time exits 2
@@ -331,6 +335,19 @@ def manifest_hash_line(sections):
     return next(line for line in lines if line.startswith("config_sha256 "))
 
 
+@pytest.mark.parametrize("task, digest", [
+    ("stmc", "c34a3bd7c1855f9f1d754d99284db98a86982ab81aad495127f3f69aa8bb48e0"),
+    ("narma5", "9495718a5e8b8192dd12ad22b6e2481c58f6f23f90163a6f4306d1440cf9eca0"),
+    ("esn-baseline",
+     "2989e3c1b03e5fb5d5448785f1c8929965e531a18cf95e59fb0f6324c2200f12"),
+])
+def test_default_config_hash_pinned(tmp_path, task, digest):
+    """The config_sha256 of each task's defaults is the one earlier versions
+    wrote, so the payload's shape cannot change unnoticed."""
+    cli._write_manifest(tmp_path, cli.parse_config(task=task), [])
+    assert f"config_sha256 {digest}\n" in (tmp_path / "MANIFEST").read_text()
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_config_hash_ignores_key_order(data):
@@ -408,6 +425,19 @@ class TestRunVerb:
         payload = json.loads((out / "records.json").read_text())
         assert payload["config"]["task_spec"]["alpha"] == 0.0
         assert [r["status"] for r in payload["records"]] == ["ok"]
+
+    def test_numpy_integer_config_written_as_plain(self, tmp_path):
+        """A numpy-integer size, which ReservoirConfig accepts, writes the
+        same results.csv and MANIFEST as the plain int."""
+        outs = []
+        for n_qubits in (np.int64(2), 2):
+            out = tmp_path / type(n_qubits).__name__
+            cfg = cli.parse_config(task="narma5", flag_overrides={
+                "n_qubits": n_qubits, "outdir": str(out)})
+            assert cli.cmd_run(cfg) == 0
+            outs.append(out)
+        for fname in ("results.csv", "MANIFEST"):
+            assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
     def test_esn_seed_count_below_one_rejected(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -773,6 +803,118 @@ n_qubits = 2, 4
         err = capsys.readouterr().err
         assert err.startswith(f"config error: malformed records {bad}: KeyError")
         assert str(good) not in err
+
+
+# What the property test draws for each schema key: valid values at tiny
+# sizes, and the invalid ones that a config check must refuse.  n_total is
+# drawn as its excess over n_washout + n_train.
+VALID = {
+    "n_qubits": st.sampled_from([2, 4]),
+    "gamma": st.floats(0.0, 1.0, exclude_min=True),
+    "n_repeats": st.integers(1, 3),
+    "c": st.integers(1, 3),
+    "n_shots": st.sampled_from([1, 50, 200]),
+    "seed": st.integers(0, 2 ** 40),
+    "backend": st.sampled_from(BACKENDS),
+    "n_total": st.integers(7, 20),
+    "n_train": st.integers(20, 40),
+    "n_test": st.integers(1, 20),
+    "n_washout": st.integers(0, 10),
+    # a positive alpha below 1e-8 fits as singularly as 0 does; 0 itself
+    # is valid for the ESN only
+    "alpha": st.one_of(st.just(0.0), st.floats(1e-8, 1e10)),
+    "delays": st.sampled_from(["0, -1, -2, -3, -4", "0, -2", "-1, -6"]),
+    "spectral_radius": st.floats(allow_nan=False, allow_infinity=False),
+    "leak_rate": st.floats(0.0, 1.0, exclude_min=True),
+    "n_esn_seeds": st.integers(1, 2),
+}
+INVALID = {
+    "n_qubits": st.sampled_from([3, 0]),
+    "gamma": st.sampled_from([0.0, -0.1, 1.5, np.nan]),
+    "n_repeats": st.just(0), "c": st.just(0), "n_shots": st.just(0),
+    "seed": st.just(-1),
+    "n_total": st.integers(-10, 0),
+    "n_train": st.just(0), "n_test": st.just(0), "n_washout": st.just(-1),
+    "alpha": st.sampled_from([-1.0, np.inf, np.nan]),
+    "delays": st.just("0, 1"),
+    "spectral_radius": st.sampled_from([np.inf, np.nan]),
+    "leak_rate": st.sampled_from([0.0, 1.5]),
+    "n_esn_seeds": st.just(0),
+}
+# sizes that are always drawn, or the defaults make a large run
+SIZES = {"n_qubits", "n_shots", "n_total", "n_train", "n_test", "n_washout",
+         "n_esn_seeds"}
+# schema keys that also have a run/sweep flag
+FLAGGED = set(vars(cli.build_parser().parse_args(["run"])))
+# sweep grids: valid ones, and one invalid value per axis
+GRIDS = {"n_qubits": st.sampled_from(["2", "2,4", "4,2"]),
+         "gamma": st.sampled_from(["0.5", "0.25,1.0"]),
+         "n_repeats": st.sampled_from(["1", "1,2"])}
+BAD_GRIDS = {"n_qubits": "2,3", "gamma": "0,0.5", "n_repeats": "1,0"}
+
+
+def _documented_nan(task, metrics):
+    """The metrics that may be nan (null): r2 where a side has zero
+    variance, mean_rmse_short where a short delay is missing."""
+    nan_ok = {"r2"}
+    if task == "stmc" and not {str(-k) for k in range(5)} <= metrics["rmse"].keys():
+        nan_ok.add("mean_rmse_short")
+    for name, value in metrics.items():
+        values = (value.values() if isinstance(value, dict)
+                  else value if isinstance(value, list) else [value])
+        assert name in nan_ok or None not in values, (name, value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_accepted_config_runs_clean(data):
+    """Any config drawn from the schemas either exits 2 with no output
+    directory, or runs every point ok with no RuntimeWarning and only the
+    documented nans."""
+    task = data.draw(st.sampled_from(list(cli.TASKS)), label="task")
+    verb = data.draw(st.sampled_from(["run", "sweep"]), label="verb")
+    sections = {"reservoir": cli._RESERVOIR_SCHEMA, "task": cli.TASKS[task].schema}
+    keys = {name: data.draw(st.sets(st.sampled_from(sorted(schema))), label=name)
+            | (SIZES & schema.keys()) for name, schema in sections.items()}
+    # at most one key or sweep axis takes an invalid value; an invalid axis
+    # of a task that does not sweep it is any grid of it
+    bad = data.draw(st.one_of(st.none(), st.sampled_from(
+        sorted(INVALID.keys() & (keys["reservoir"] | keys["task"]))
+        + [f"sweep.{axis}" for axis in GRIDS if verb == "sweep"])), label="bad")
+    values = {key: data.draw((INVALID if key == bad else VALID)[key], label=key)
+              for key in sorted(keys["reservoir"] | keys["task"])}
+    if "n_total" in values:
+        values["n_total"] += values["n_washout"] + values["n_train"]
+    text, argv = f"[experiment]\ntask = {task}\n", [verb]
+    for name in sections:
+        text += f"[{name}]\n"
+        for key in sorted(keys[name]):
+            flag = {"c": "--context"}.get(key, f"--{key.replace('_', '-')}")
+            if key in FLAGGED and data.draw(st.booleans(), label="as flag"):
+                argv.append(f"{flag}={values[key]}")
+            else:
+                text += f"{key} = {values[key]}\n"
+    for axis in GRIDS if verb == "sweep" else ():
+        if f"sweep.{axis}" == bad and axis in cli.TASKS[task].grids:
+            argv.append(f"--{axis.replace('_', '-')}-grid={BAD_GRIDS[axis]}")
+        elif f"sweep.{axis}" == bad or axis in cli.TASKS[task].grids:
+            argv.append(f"--{axis.replace('_', '-')}-grid={data.draw(GRIDS[axis])}")
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "exp.ini"), os.path.join(tmp, "out")
+        with open(path, "w") as handle:
+            handle.write(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli.main(argv + ["--config", path, "--outdir", out])
+        if code == 2:
+            assert not os.path.exists(out)
+            return
+        assert code == 0
+        with open(os.path.join(out, "records.json")) as handle:
+            records = json.load(handle)["records"]
+    for record in records:
+        assert record["status"] == "ok", record.get("error")
+        _documented_nan(task, record["metrics"])
 
 
 def test_failed_write_leaves_no_files(tmp_path):

@@ -18,6 +18,7 @@ from swapqrn.embedding import (
     EmbeddingWeights, init_weights, context_window, compute_angles,
     embedding_unitary,
 )
+from swapqrn.tasks import EsnConfig, NarmaSpec, StmcSpec, run_esn_narma
 from swapqrn.reservoir import (
     CHUNK, ReservoirConfig, check_memory, step, run_exact, run_sampled,
     run_trajectories, run_features, bitstring_labels, features_to_csv,
@@ -63,11 +64,25 @@ class TestReservoirConfig:
     @pytest.mark.parametrize("field,value", [
         ("n_qubits", 4.0), ("n_qubits", True), ("n_qubits", "4"),
         ("n_repeats", 1.5), ("n_repeats", np.float64(2.0)), ("c", True),
-        ("c", np.bool_(True)), ("n_shots", 2.5), ("n_shots", False)])
+        ("c", np.bool_(True)), ("n_shots", 2.5), ("n_shots", False),
+        ("StmcSpec.n_train", 700.0), ("StmcSpec.n_test", 275.5),
+        ("StmcSpec.n_washout", True), ("StmcSpec.delays", (0, 0.5)),
+        ("NarmaSpec.n_total", 1000.0), ("NarmaSpec.n_washout", "15"),
+        ("EsnConfig.n_nodes", 4.0), ("run_esn_narma.n_seeds", 3.0)])
     def test_rejects_non_integer_sizes(self, field, value):
-        kwargs = dict(n_qubits=4, gamma=0.5, backend="sampled", n_shots=10)
-        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
-            ReservoirConfig(**{**kwargs, field: value})
+        """A float, bool or string size is refused when the config is
+        built: ``owner.field`` names a task config or ``run_esn_narma``,
+        a bare field a ``ReservoirConfig``; each entry of ``delays``."""
+        owner, _, name = field.rpartition(".")
+        make = {
+            "": lambda **kw: ReservoirConfig(**{**dict(
+                n_qubits=4, gamma=0.5, backend="sampled", n_shots=10), **kw}),
+            "StmcSpec": StmcSpec, "NarmaSpec": NarmaSpec,
+            "EsnConfig": lambda **kw: EsnConfig(**{"n_nodes": 4, **kw}),
+            "run_esn_narma": lambda **kw: run_esn_narma(
+                NarmaSpec(), EsnConfig(n_nodes=2), **kw)}[owner]
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            make(**{name: value})
 
     def test_numpy_integer_sizes_accepted(self):
         cfg = ReservoirConfig(n_qubits=np.int64(4), gamma=0.5,

@@ -78,11 +78,13 @@ class TestSpecChecks:
         (StmcSpec, dict(n_total=54, n_train=30, n_test=10, delays=(0, -9)),
          "n_total"),
         (NarmaSpec, dict(n_total=45, n_train=40, n_test=10), "n_total"),
+        (EsnConfig, dict(n_nodes=4, spectral_radius=1.7e308), "spectral_radius"),
+        (EsnConfig, dict(n_nodes=4, leak_rate=5e-324), "leak_rate"),
     ], ids=["stmc-alpha-negative", "stmc-alpha-zero", "stmc-alpha-inf",
             "stmc-alpha-nan", "narma-alpha-negative", "narma-alpha-inf",
             "narma-alpha-nan", "esn-radius-inf", "esn-radius-nan",
             "stmc-series-10", "stmc-series-55", "stmc-series-54-delay-9",
-            "narma-series-45"])
+            "narma-series-45", "esn-radius-overflow", "esn-leak-underflow"])
     def test_refused(self, cls, kwargs, match):
         with pytest.raises(ValueError, match=f"^{match}"):
             cls(**kwargs)
