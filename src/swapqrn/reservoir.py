@@ -20,9 +20,9 @@ import numpy as np
 
 from .gates import check_gamma, damping_probability, n_qubits_of, swap_coefficients
 from .channel import (
-    collapse, collapse_tables, collapse_workspace, collapse_workspace_bytes,
-    damping_channel, damping_transfer, ground_state, outcome_row, povm_matrix,
-    transfer_views,
+    PASS_BUFFER, collapse, collapse_tables, collapse_workspace,
+    collapse_workspace_bytes, damping_channel, damping_transfer, ground_state,
+    outcome_row, povm_matrix, transfer_views,
 )
 from .embedding import (compute_angles, crz_ring_diagonal, kron_layer,
                         rotation_stack, series_angles)
@@ -106,8 +106,9 @@ def check_memory(cfg, n_steps):
     Counted: every step's rotations, 256 B per step and qubit.  Exact and
     sampled: the held state, the second buffer (the ground state's own
     memory) and the CRZ phase of :func:`_kernel_plan` (the final Hermiticity
-    check, on the held state alone, allocates two more), numpy's 256 KiB of
-    buffers for the strided transfer passes, the :func:`_gate_pairs` stacks
+    check, on the held state alone, allocates two more), 256 KiB for numpy's
+    iteration buffers (an upper bound: under ``PASS_BUFFER`` a 16-qubit step
+    loop grows by about 19 KB), the :func:`_gate_pairs` stacks
     (two pairs at n_repeats > 1), the POVM matrix and the feature matrix,
     which the sampled draws copy three times more.
     Trajectory: one chunk's uniform block, then the larger of about 1 KiB
@@ -240,12 +241,12 @@ def run_exact(u, weights, cfg):
     before the step loop.  After each :func:`_kernel_step` the lo qubits'
     damping transfer runs; the hi qubits' is deferred into the next step and
     the scaling folded into its rotations (S|0><0|S^+ = |0><0|: exact from
-    the start).  The state is checked, not repaired: the trace drift
-    |sum of row t - 1| every step (the POVM columns sum to 1) and, with all
-    else released, the Hermiticity residual max|rho - rho^+| of the final
-    state (the channel is trace-norm contractive, so the anti-Hermitian part
-    cannot grow between checks); either past ``HEALTH_TOL`` raises
-    ``FloatingPointError``.
+    the start).  The loop runs under a ``PASS_BUFFER``-entry ufunc buffer.
+    The state is checked, not repaired: the trace drift |sum of row t - 1|
+    every step (the POVM columns sum to 1) and, with all else released, the
+    Hermiticity residual max|rho - rho^+| of the final state (the channel is
+    trace-norm contractive, so the anti-Hermitian part cannot grow between
+    checks); either past ``HEALTH_TOL`` raises ``FloatingPointError``.
     """
     _check_weights(weights, cfg)
     u = np.asarray(u, dtype=float)
@@ -255,11 +256,13 @@ def run_exact(u, weights, cfg):
                          cfg.n_repeats)
     plan = _kernel_plan(ground_state(cfg.n_mem), weights, cfg)
     features = np.empty((len(u), 2 ** cfg.n_mem))
-    for t, gates in enumerate(zip(*stacks)):
-        features[t] = _kernel_step(plan, gates, cfg.n_repeats, t > 0)
-        damping_transfer(plan[4], plan[-1])  # the lo qubits' views, p
-        _check_health("trace drift", abs(features[t].sum() - 1.0),
-                      f"at step {t}")
+    with np.errstate():  # restores the caller's buffer size on exit
+        np.setbufsize(PASS_BUFFER)
+        for t, gates in enumerate(zip(*stacks)):
+            features[t] = _kernel_step(plan, gates, cfg.n_repeats, t > 0)
+            damping_transfer(plan[4], plan[-1])  # the lo qubits' views, p
+            _check_health("trace drift", abs(features[t].sum() - 1.0),
+                          f"at step {t}")
     rho, stacks, gates, plan = plan[0], None, None, None  # views into both
     if len(u):  # rho[j, i] of the held rho[i, j]: swap rows and columns
         _check_health("Hermiticity residual", np.max(np.abs(

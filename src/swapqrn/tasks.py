@@ -290,13 +290,24 @@ def check_esn_memory(spec, cfg, n_seeds):
         need, f"an ESN of {cfg.n_nodes} nodes at {n_seeds} seeds")
 
 
+def check_esn_alpha(spec, cfg):
+    """``ValueError`` unless ``spec.alpha > 0`` or ``cfg.spectral_radius
+    <= 1``: past the echo-state regime tanh saturates, and a node whose
+    state turns constant makes the unpenalised design singular."""
+    if spec.alpha == 0 and cfg.spectral_radius > 1:
+        raise ValueError(f"alpha = 0 needs spectral_radius <= 1, "
+                         f"got {cfg.spectral_radius}")
+
+
 def run_esn_narma(spec, cfg, n_seeds):
     """NARMA-5 RMSE distribution over seeded ESN draws, all seeds stepped in
     one recursion; seed k draws from ``default_rng([cfg.seed, k])``.  The
-    states and the weights, as drawn and as stacked, must fit in memory."""
+    states and the weights, as drawn and as stacked, must fit in memory,
+    and the fit must pass :func:`check_esn_alpha`."""
     check_integer("n_seeds", n_seeds)
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
+    check_esn_alpha(spec, cfg)
     check_esn_memory(spec, cfg, n_seeds)
     z = gen_uniform(spec.seed, spec.n_total, 0.0, 0.5)
     rngs = (np.random.default_rng([cfg.seed, k]) for k in range(n_seeds))

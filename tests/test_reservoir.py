@@ -352,10 +352,10 @@ class TestMemoryCheck:
             tracemalloc.stop()
         assert peak <= check_memory(cfg, len(u))
 
-    def test_step_loop_allocates_less_than_rho(self, monkeypatch):
-        """At 16 qubits the traced memory during the step loop stays less
-        than one rho (1 MiB) above its level when the loop starts: a
-        transpose copy or a fresh product array per step would reach it."""
+    @staticmethod
+    def step_loop_growth(monkeypatch):
+        """Largest traced memory of a 16-qubit, 6-step ``run_exact`` after
+        each step, above its level when the loop starts."""
         cfg = ReservoirConfig(n_qubits=16, gamma=0.55, n_repeats=2)
         kernel_step, seen = reservoir._kernel_step, []
 
@@ -377,7 +377,19 @@ class TestMemoryCheck:
         finally:
             tracemalloc.stop()
         assert len(seen) == 1 + len(u)
-        assert max(seen[1:]) - seen[0] < 16 * 256 ** 2
+        return max(seen[1:]) - seen[0]
+
+    def test_step_loop_allocates_less_than_rho(self, monkeypatch):
+        """At 16 qubits the traced memory during the step loop stays less
+        than one rho (1 MiB) above its level when the loop starts: a
+        transpose copy or a fresh product array per step would reach it."""
+        assert self.step_loop_growth(monkeypatch) < 16 * 256 ** 2
+
+    def test_step_loop_allocates_no_pass_buffers(self, monkeypatch):
+        """The transfer passes run under ``channel.PASS_BUFFER``: at numpy's
+        default buffer size each strided pass allocates iteration buffers,
+        over 256 KiB per transfer half at 16 qubits."""
+        assert self.step_loop_growth(monkeypatch) < 64 * 1024
 
     def test_exact_refused_before_allocating(self):
         cfg = ReservoirConfig(n_qubits=48, gamma=0.5, n_shots=10)
@@ -409,6 +421,57 @@ class TestMemoryCheck:
         with pytest.raises(ValueError, match="physical memory"):
             run_trajectories(np.zeros(5), init_weights(1, c=1, n_mem=24), cfg, rng)
         assert rng.bit_generator.seed_seq.n_children_spawned == 0
+
+
+class TestPassBuffer:
+    """The damping transfers run under a ``channel.PASS_BUFFER``-entry ufunc
+    buffer, and every caller gets its own buffer size back."""
+
+    CFG = ReservoirConfig(n_qubits=4, gamma=0.55, n_shots=10)
+    W = init_weights(1, c=1, n_mem=2)
+    U = np.random.default_rng(0).random(5)
+    CALLS = {
+        "run_exact": lambda c: run_exact(c.U, c.W, c.CFG),
+        "run_sampled": lambda c: run_sampled(
+            c.U, c.W, c.CFG, np.random.default_rng(1)),
+        "step": lambda c: step(ground_state(2), c.U[:1], c.W, c.CFG),
+        "damping_channel": lambda c: damping_channel(np.eye(4) / 4, 0.55),
+    }
+
+    @pytest.mark.parametrize("caller", [None, 4096], ids=["default", "own"])
+    @pytest.mark.parametrize("name", CALLS)
+    def test_buffer_scoped_to_the_passes(self, monkeypatch, name, caller):
+        transfer_passes, seen = channel.damping_transfer, []
+
+        def transfer(views, p):
+            seen.append(np.getbufsize())
+            transfer_passes(views, p)
+
+        monkeypatch.setattr(reservoir, "damping_transfer", transfer)
+        monkeypatch.setattr(channel, "damping_transfer", transfer)
+        default = np.getbufsize()
+        with np.errstate():
+            if caller is not None:
+                np.setbufsize(caller)
+            self.CALLS[name](self)
+            assert np.getbufsize() == (caller or default)
+        assert np.getbufsize() == default
+        assert seen and set(seen) == {channel.PASS_BUFFER}
+
+    @pytest.mark.parametrize("caller", [None, 4096], ids=["default", "own"])
+    def test_restored_when_the_loop_raises(self, monkeypatch, caller):
+        def failing_step(*args):
+            raise RuntimeError("step failed")
+
+        monkeypatch.setattr(reservoir, "_kernel_step", failing_step)
+        default = np.getbufsize()
+        with np.errstate():
+            if caller is not None:
+                np.setbufsize(caller)
+            with pytest.raises(RuntimeError, match="step failed"):
+                run_exact(self.U, self.W, self.CFG)
+            assert np.getbufsize() == (caller or default)
+        assert np.getbufsize() == default
 
 
 class TestRunExactAgainstJointRegister:

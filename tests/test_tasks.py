@@ -337,6 +337,19 @@ class TestRunEsnNarma:
             run_esn_narma(NarmaSpec(), EsnConfig(n_nodes=4), n_seeds=200)
         assert drawn == []
 
+    def test_zero_alpha_above_unit_radius_refused_before_drawing(
+            self, monkeypatch):
+        """At alpha = 0 a saturated tanh node makes the design singular, so
+        a radius past 1 is refused before any seed is drawn."""
+        drawn = []
+        monkeypatch.setattr(tasks, "esn_init",
+                            lambda cfg, rng: drawn.append(rng))
+        spec = NarmaSpec(alpha=0.0, n_total=60, n_train=40, n_test=10,
+                         n_washout=5, seed=9)
+        with pytest.raises(ValueError, match="alpha = 0 needs spectral_radius"):
+            run_esn_narma(spec, EsnConfig(n_nodes=2, spectral_radius=10, seed=9), 2)
+        assert drawn == []
+
     def test_zero_seeds_rejected(self):
         with pytest.raises(ValueError, match="n_seeds must be >= 1, got 0"):
             run_esn_narma(NarmaSpec(), EsnConfig(n_nodes=4), n_seeds=0)
