@@ -83,8 +83,8 @@ def povm_matrix(gamma: float, n: int) -> np.ndarray:
     """
     p = damping_probability(gamma)
     w = np.array([[1.0, 1.0 - p], [0.0, p]])
-    m = w
-    for _ in range(n - 1):
+    m = np.ones((1, 1))
+    for _ in range(n):
         m = np.kron(m, w)
     return m
 

@@ -165,7 +165,8 @@ def _kernel_plan(rho, weights, cfg):
     axes (r_hi, r_lo) x (c_hi, c_lo), in the order (r_lo, c_lo, c_hi, r_hi);
     rho is copied in, and its own C-contiguous memory is then the second
     buffer.  Also: each product's (input, output) views, the CRZ phase
-    crz_i conj(crz_j) and diag(rho) in the held layout, the lo and hi
+    crz_i conj(crz_j) (C-ordered like the held state, which it multiplies
+    in place) and diag(rho) in the held layout, the lo and hi
     :func:`transfer_views` with the second buffer as scratch, the
     :func:`povm_matrix` and the damping probability."""
     d_lo, d_hi = 1 << cfg.n_mem // 2, 1 << (cfg.n_mem + 1) // 2
@@ -176,7 +177,8 @@ def _kernel_plan(rho, weights, cfg):
     return (held, [(x.reshape(d, -1).T, y.reshape(-1, d)) for x, y, d in [
                 (held, other, d_lo), (other, held, d_lo),
                 (held, other, d_hi), (other, held, d_hi)]],
-            crz[:, None, None, :] * crz.conj()[:, :, None],
+            np.multiply(crz[:, None, None, :], crz.conj()[:, :, None],
+                        order="C"),
             held.diagonal().diagonal().T,
             *(transfer_views(held, other[:rho.size // 4], d * d)
               for d in (d_hi, d_lo)),

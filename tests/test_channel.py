@@ -148,6 +148,13 @@ class TestOutcomeDistribution:
             assert dist.min() >= 0.0
             assert abs(dist.sum() - 1.0) <= 1e-10
 
+    def test_zero_qubits(self):
+        """A 1x1 state, which damping_channel and purity accept, has the one
+        outcome of the empty bitstring."""
+        for g in (0.001, 0.5, 1.0):
+            assert np.array_equal(outcome_distribution(np.ones((1, 1)), g),
+                                  [1.0])
+
     def test_bit_order_convention(self):
         """Readout qubit 0 is the low bit of the outcome index."""
         # memory qubit 0 excited, qubit 1 ground, gamma=1: outcome 01 certain

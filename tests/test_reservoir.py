@@ -227,6 +227,18 @@ class TestFactoredKernel:
             rho = rehermitize(rho)
             assert np.max(np.abs(rows[t] - dist)) <= 1e-12
 
+    @pytest.mark.parametrize("n_qubits", [12, 14, 16])
+    def test_phase_laid_out_as_the_held_state(self, n_qubits):
+        """The CRZ phase, multiplied into the held state in place every
+        repeat, is C-contiguous with the held state's strides (n_mem 7 has
+        d_lo != d_hi); the product operands are transposed views by design."""
+        cfg = ReservoirConfig(n_qubits=n_qubits, gamma=0.5)
+        w = init_weights(cfg.seed, c=1, n_mem=cfg.n_mem)
+        held, _, phase, *_ = reservoir._kernel_plan(
+            ground_state(cfg.n_mem), w, cfg)
+        assert phase.flags.c_contiguous and held.flags.c_contiguous
+        assert phase.shape == held.shape and phase.strides == held.strides
+
     @pytest.mark.parametrize("n_repeats", [1, 2])
     def test_step_is_damping_of_embedded_state(self, n_repeats):
         """step() scales its state explicitly: it returns the fully damped
