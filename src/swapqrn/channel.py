@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .embedding import kron_layer
 from .gates import check_gamma, damping_probability, n_qubits_of, swap_coefficients
 
 # numpy's ufunc buffer, in entries, for the strided transfer passes: d_lo^2
@@ -28,6 +29,13 @@ def ground_state(n_qubits: int) -> np.ndarray:
     rho = np.zeros((1 << n_qubits,) * 2, dtype=complex)
     rho[0, 0] = 1.0
     return rho
+
+
+def check_square(rho: np.ndarray) -> int:
+    """n of a (2**n, 2**n) rho; ``ValueError`` naming any other shape."""
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise ValueError(f"rho has shape {rho.shape}, not (2**n, 2**n)")
+    return n_qubits_of(len(rho))
 
 
 def transfer_views(state: np.ndarray, buf: np.ndarray, inner: int = 1) -> list:
@@ -60,10 +68,12 @@ def damping_channel(rho: np.ndarray, gamma: float) -> np.ndarray:
     commutes with every other qubit's transfer.  On a copy of rho, which is
     left untouched, :func:`damping_transfer` runs every qubit's transfer in
     ascending order, then S rho S^+, S = (x)_q diag(1, A), scales row i by
-    A^popcount(i) and column j by conj(A)^popcount(j).
+    A^popcount(i) and column j by conj(A)^popcount(j).  A rho of any shape
+    but (2**n, 2**n) raises ``ValueError``.
     """
     gamma = check_gamma(gamma)
     out = np.array(rho, dtype=complex)
+    check_square(out)
     a, _ = swap_coefficients(gamma)
     with np.errstate():  # restores the caller's buffer size on exit
         np.setbufsize(PASS_BUFFER)
@@ -83,10 +93,7 @@ def povm_matrix(gamma: float, n: int) -> np.ndarray:
     """
     p = damping_probability(gamma)
     w = np.array([[1.0, 1.0 - p], [0.0, p]])
-    m = np.ones((1, 1))
-    for _ in range(n):
-        m = np.kron(m, w)
-    return m
+    return kron_layer(np.broadcast_to(w, (n, 2, 2)))
 
 
 def outcome_row(populations: np.ndarray, povm: np.ndarray) -> np.ndarray:
@@ -103,11 +110,13 @@ def outcome_distribution(rho: np.ndarray, gamma: float) -> np.ndarray:
     """Probability of each readout bitstring; readout bit j is index bit j.
 
     p(b) = Tr[(kron_j K_{b_j}) rho (kron_j K_{b_j})^dagger]; since K^+K is
-    diagonal this reduces to a fixed matrix acting on diag(rho).
+    diagonal this reduces to a fixed matrix acting on diag(rho).  A rho of
+    any shape but (2**n, 2**n) raises ``ValueError``.
     """
     gamma = check_gamma(gamma)
     rho = np.asarray(rho)
-    return outcome_row(rho.diagonal(), povm_matrix(gamma, n_qubits_of(len(rho))))
+    povm = povm_matrix(gamma, check_square(rho))
+    return outcome_row(rho.diagonal(), povm)
 
 
 def purity(rho: np.ndarray) -> float:

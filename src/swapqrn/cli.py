@@ -80,14 +80,6 @@ class ExperimentConfig:
     outdir: Path
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    index: int
-    n_qubits: int
-    gamma: float
-    n_repeats: int
-
-
 def _coerce(raw, kind, path):
     """Parse one INI value as ``kind``: a scalar type, ``T | None`` (read as
     ``T``), or ``tuple[T, ...]`` (a comma-separated list)."""
@@ -199,12 +191,13 @@ def parse_config(task=None, config_path=None, flag_overrides=None):
 
 
 def sweep_points(cfg):
-    """Enumerate the sweep grid in deterministic order (index = position);
+    """The grid's reservoir configs in deterministic order (index = position);
     an axis takes its [sweep] grid, else the task's, else the base value."""
     sweep, grids = cfg.sweep or {}, TASKS[cfg.task].grids
     axes = [sweep.get(axis) or grids.get(axis) or (getattr(cfg.reservoir, axis),)
             for axis in ("n_qubits", "gamma", "n_repeats")]
-    return [SweepPoint(i, *values) for i, values in enumerate(product(*axes))]
+    return [replace(cfg.reservoir, n_qubits=q, gamma=g, n_repeats=r)
+            for q, g, r in product(*axes)]
 
 
 # ---------------------------------------------------------------------------
@@ -310,40 +303,34 @@ def _json_safe(value):
     return value
 
 
-def _point_config(cfg, point):
-    return replace(cfg.reservoir, n_qubits=point.n_qubits, gamma=point.gamma,
-                   n_repeats=point.n_repeats)
-
-
 def _check_points(cfg, points):
     """Refuse, before anything is written, any point that cannot fit in
     physical memory."""
-    for point in points:
+    for index, rc in enumerate(points):
         try:
-            TASKS[cfg.task].check(cfg, _point_config(cfg, point))
+            TASKS[cfg.task].check(cfg, rc)
         except ValueError as exc:
-            raise ConfigError(f"point {point.index} ({point.n_qubits} qubits, "
-                              f"gamma={point.gamma}, n_repeats="
-                              f"{point.n_repeats}): {exc}") from exc
+            raise ConfigError(f"point {index} ({rc.n_qubits} qubits, "
+                              f"gamma={rc.gamma}, n_repeats="
+                              f"{rc.n_repeats}): {exc}") from exc
 
 
-def _point_record(cfg, point):
-    """The point's reservoir config and the record fields every outcome has."""
-    rc = _point_config(cfg, point)
+def _point_record(cfg, index, rc):
+    """The fields that every record of point ``index``, config ``rc``, has."""
     record_cfg = asdict(rc)
     if cfg.esn is not None:
         record_cfg["n_nodes"] = rc.n_mem
-    return rc, _json_safe({"point_index": point.index, "task": cfg.task,
-                           "config": record_cfg, "version": __version__,
-                           "seed": rc.seed})
+    return _json_safe({"point_index": index, "task": cfg.task,
+                       "config": record_cfg, "version": __version__,
+                       "seed": rc.seed})
 
 
-def _execute_point(cfg, point):
+def _execute_point(cfg, index, rc):
     """Run one grid point; failures become error records, not crashes."""
     start = time.perf_counter()
-    rc, record = _point_record(cfg, point)
+    record = _point_record(cfg, index, rc)
     try:
-        rng = (np.random.default_rng([cfg.reservoir.seed, point.index])
+        rng = (np.random.default_rng([rc.seed, index])
                if rc.backend != "exact" else None)
         record["metrics"] = _json_safe(TASKS[cfg.task].run(cfg, rc, rng))
         record["status"] = "ok"
@@ -469,10 +456,8 @@ def write_outputs(cfg, records):
 # ---------------------------------------------------------------------------
 
 def cmd_run(cfg):
-    point = SweepPoint(0, cfg.reservoir.n_qubits, cfg.reservoir.gamma,
-                       cfg.reservoir.n_repeats)
-    _check_points(cfg, [point])
-    record = _execute_point(cfg, point)
+    _check_points(cfg, [cfg.reservoir])
+    record = _execute_point(cfg, 0, cfg.reservoir)
     outdir = write_outputs(cfg, [record])
     if record["status"] != "ok":
         print(f"run failed: {record['error']}", file=sys.stderr)
@@ -505,22 +490,22 @@ def cmd_sweep(cfg, workers):
     if workers > 1:
         # longest first (an estimate of each point's work), so that no long
         # point starts last; records are merged by index, not by finish
-        longest = sorted(points, reverse=True, key=lambda p: (
-            4 ** (p.n_qubits // 2) * p.n_repeats * cfg.task_spec.n_total))
+        longest = sorted(enumerate(points), reverse=True, key=lambda p: (
+            4 ** p[1].n_mem * p[1].n_repeats * cfg.task_spec.n_total))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(_execute_point, cfg, p): p for p in longest}
+            futures = {pool.submit(_execute_point, cfg, *p): p for p in longest}
             for future in as_completed(futures):
                 try:
                     record = future.result()
                 except BrokenExecutor as exc:  # its worker process died
-                    _, record = _point_record(cfg, futures[future])
+                    record = _point_record(cfg, *futures[future])
                     record.update(metrics={}, status="error",
                                   error=f"{type(exc).__name__}: {exc}",
                                   wall_time_s=None)
                 stage(record)
     else:
-        for point in points:
-            stage(_execute_point(cfg, point))
+        for index, rc in enumerate(points):
+            stage(_execute_point(cfg, index, rc))
 
     records.sort(key=lambda r: r["point_index"])
     write_outputs(cfg, records)

@@ -56,21 +56,23 @@ def context_window(u: np.ndarray, t: int, c: int) -> np.ndarray:
 
 
 def compute_angles(x: np.ndarray, weights: EmbeddingWeights) -> np.ndarray:
-    """Rotation angles Theta[j, k] = sum_i x_i w_in[i, j, k] + w_bias[j, k]."""
+    """Angles Theta[..., j, k] = sum_i x[..., i] w_in[i, j, k] + w_bias[j, k]
+    of windows x (..., c), leading axes carried through; x is read as
+    float64, and so are the angles, whatever x's dtype."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (weights.c,):
-        raise ValueError(f"context shape {x.shape} != ({weights.c},)")
-    return np.einsum("i,ijk->jk", x, weights.w_in) + weights.w_bias
+    if x.shape[-1:] != (weights.c,):
+        raise ValueError(f"context shape {x.shape} != (..., {weights.c})")
+    return np.einsum("...i,ijk->...jk", x, weights.w_in) + weights.w_bias
 
 
 def series_angles(u: np.ndarray, weights: EmbeddingWeights) -> np.ndarray:
-    """Every step's ``compute_angles(context_window(u, t, c), weights)`` as one
-    (T, n_mem, 3) array, with the same per-entry sums."""
+    """:func:`compute_angles` of the (T, c) matrix of every step's
+    ``context_window(u, t, c)``: (T, n_mem, 3) float64 angles, step leading."""
     u = np.asarray(u, dtype=float)
     c = weights.c
     padded = np.concatenate([np.zeros(c - 1), u])
-    windows = padded[np.arange(len(u))[:, None] + (c - 1) - np.arange(c)]
-    return np.einsum("ti,ijk->tjk", windows, weights.w_in) + weights.w_bias
+    return compute_angles(padded[np.arange(len(u))[:, None] + (c - 1)
+                                 - np.arange(c)], weights)
 
 
 def ring_edges(n_mem: int) -> list[tuple[int, int]]:
@@ -100,11 +102,11 @@ def rotation_stack(theta: np.ndarray) -> np.ndarray:
 
 
 def kron_layer(rotations: np.ndarray) -> np.ndarray:
-    """Kronecker product of per-qubit gates (..., n, 2, 2), qubit 0 as the
-    least significant bit; leading axes carry through."""
-    out = np.ones(rotations.shape[:-3] + (1, 1), dtype=complex)
+    """Kronecker product, in their dtype, of per-qubit gates (..., n, 2, 2),
+    qubit 0 as the least significant bit; leading axes carry through."""
+    out = np.ones(rotations.shape[:-3] + (1, 1), dtype=rotations.dtype)
     for q in range(rotations.shape[-3] - 1, -1, -1):
-        # out (x) g, one product per entry as in np.kron
+        # out (x) g, each entry the one product out[i, j] * g[k, l]
         g = rotations[..., q, None, :, None, :]
         out = (out[..., :, None, :, None] * g).reshape(
             out.shape[:-2] + (2 * out.shape[-2], 2 * out.shape[-1]))

@@ -225,6 +225,17 @@ def damping_kraus_sum(rho: np.ndarray, gamma: float) -> np.ndarray:
     return out
 
 
+def povm_kron(gamma: float, n: int) -> np.ndarray:
+    """The outcome matrix of n qubits as an np.kron chain of the one-qubit
+    factor w[b, m] = P(readout b | memory m), starting from [[1.0]]."""
+    p = damping_probability(gamma)
+    w = np.array([[1.0, 1.0 - p], [0.0, p]])
+    m = np.ones((1, 1))
+    for _ in range(n):
+        m = np.kron(m, w)
+    return m
+
+
 def dense_step(rho, u_context, weights, cfg):
     """One reservoir step with the dense embedding unitary: (state, features)."""
     theta = compute_angles(u_context, weights)
@@ -262,9 +273,7 @@ def run_exact_per_step(u, weights, cfg):
     rho = ground_state(n).reshape(d_hi, d_lo, d_hi, d_lo).transpose(1, 3, 2, 0)
     crz = crz_ring_diagonal(weights.w_hidden).reshape(d_hi, d_lo).T
     phase = crz[:, None, None, :] * crz.conj()[None, :, :, None]
-    povm = factor = np.array([[1.0, 1.0 - p], [0.0, p]])
-    for _ in range(n - 1):
-        povm = np.kron(povm, factor)
+    povm = povm_kron(cfg.gamma, n)
 
     def move(x, h):  # x's leading axis times h, written last
         return (x.reshape(len(h), -1).T @ h).reshape(-1)

@@ -4,7 +4,8 @@ from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from swapqrn.channel import (
-    damping_channel, outcome_distribution, purity, ground_state, rehermitize,
+    damping_channel, outcome_distribution, povm_matrix, purity, ground_state,
+    rehermitize,
 )
 
 import oracles
@@ -119,6 +120,13 @@ class TestDampingChannel:
             rho = damping_channel(rho, 0.3)
         assert_allclose(rho, ground_state(2), atol=1e-9)
 
+    @pytest.mark.parametrize("shape", [(1, 4), (4, 8), (4,), (2, 2, 2)])
+    def test_rejects_non_square(self, shape):
+        """A row or a rectangle is no density matrix: refused by its shape,
+        not damped as the square block it starts with."""
+        with pytest.raises(ValueError, match=rf"rho has shape \({shape[0]},"):
+            damping_channel(np.ones(shape) / 4, 0.5)
+
 
 class TestOutcomeDistribution:
 
@@ -154,6 +162,22 @@ class TestOutcomeDistribution:
         for g in (0.001, 0.5, 1.0):
             assert np.array_equal(outcome_distribution(np.ones((1, 1)), g),
                                   [1.0])
+
+    @pytest.mark.parametrize("shape", [(4, 8), (8, 4), (1, 4), (4,)])
+    def test_rejects_non_square(self, shape):
+        """Not the law of the leading square block: a ValueError naming the
+        shape."""
+        with pytest.raises(ValueError, match=rf"rho has shape \({shape[0]},"):
+            outcome_distribution(np.ones(shape) / 4, 0.5)
+
+    @pytest.mark.parametrize("gamma", [0.001, 0.05, 0.3, 0.55, 0.75, 1.0])
+    def test_povm_matrix_equals_kron_chain(self, gamma):
+        """The Kronecker layer of n factors is the np.kron chain bit for bit,
+        real as the chain is."""
+        for n in range(9):
+            ours, ref = povm_matrix(gamma, n), oracles.povm_kron(gamma, n)
+            assert (ours.dtype, ours.shape) == (ref.dtype, ref.shape)
+            assert ours.tobytes() == ref.tobytes()
 
     def test_bit_order_convention(self):
         """Readout qubit 0 is the low bit of the outcome index."""

@@ -207,7 +207,9 @@ class TestSweepGrid:
         points = cli.sweep_points(cfg)
         assert len(points) == 320
         assert len({(p.n_qubits, p.gamma, p.n_repeats) for p in points}) == 320
-        assert points[0].index == 0 and points[-1].index == 319
+        # every point is the base reservoir with its three axes replaced
+        assert {replace(p, n_qubits=16, gamma=0.55, n_repeats=1)
+                for p in points} == {cfg.reservoir}
         gammas = sorted({p.gamma for p in points})
         assert gammas[0] == 0.05 and gammas[-1] == 1.0 and len(gammas) == 20
         assert sorted({p.n_qubits for p in points}) == [2, 4, 6, 8, 10, 12, 14, 16]
@@ -297,7 +299,8 @@ class TestTaskTable:
     def test_entry_decides(self, tmp_path, task):
         axes, rows, digest = self.PINS[task]
         points = cli.sweep_points(cli.parse_config(task=task))
-        assert [(p.index, p.n_qubits, p.gamma, p.n_repeats) for p in points] == [
+        assert [(i, p.n_qubits, p.gamma, p.n_repeats)
+                for i, p in enumerate(points)] == [
             (i, *values) for i, values in enumerate(product(*axes))]
 
         out = tmp_path / "out"
@@ -378,16 +381,27 @@ class TestRunVerb:
         assert "config_sha256" in manifest
 
     def test_single_point_sweep_equals_run(self, tmp_path):
-        path = write_config(
-            tmp_path, TINY_STMC + "\n[sweep]\ngamma = 0.5\nn_qubits = 4\nn_repeats = 1\n")
-        out_run = tmp_path / "run"
-        out_sweep = tmp_path / "sweep"
-        cli.main(["run", "--config", path, "--outdir", str(out_run)])
-        cli.main(["sweep", "--config", path, "--outdir", str(out_sweep)])
-        a = json.loads((out_run / "records.json").read_text())["records"][0]
-        b = json.loads((out_sweep / "records.json").read_text())["records"][0]
-        a.pop("wall_time_s"), b.pop("wall_time_s")
-        assert a == b
+        """For every task and a deterministic and a stochastic backend, run
+        and a sweep whose one point is the run's config write the same
+        record, but for its wall time, and the same results.csv rows."""
+        for task, backend in product(cli.TASKS, ["exact", "trajectory"]):
+            path = tiny_task_config(tmp_path, task)
+            flags = ["--config", path, "--backend", backend, "--n-shots", "50"]
+            base = cli.parse_config(config_path=path).reservoir
+            grid = [f"--{axis.replace('_', '-')}-grid={getattr(base, axis)}"
+                    for axis in cli.TASKS[task].grids]
+            outs = [tmp_path / task / backend / verb for verb in ("run", "sweep")]
+            assert cli.main(["run", *flags, "--outdir", str(outs[0])]) == 0
+            assert cli.main(["sweep", *flags, *grid,
+                             "--outdir", str(outs[1])]) == 0
+            records = [json.loads((out / "records.json").read_text())["records"]
+                       for out in outs]
+            assert [len(r) for r in records] == [1, 1]
+            for (rec,) in records:
+                assert rec.pop("wall_time_s") >= 0 and rec["status"] == "ok"
+            assert records[0] == records[1]
+            rows = [(out / "results.csv").read_text() for out in outs]
+            assert rows[0] == rows[1] and len(rows[0].splitlines()) > 1
 
     def test_run_ignores_sweep_section(self, tmp_path):
         """run executes its one point; an over-memory [sweep] value that it
@@ -520,10 +534,10 @@ class TestSweepVerb:
             def __exit__(self, *exc):
                 return False
 
-            def submit(self, fn, cfg, point):
-                submitted.append(point.index)
+            def submit(self, fn, cfg, index, rc):
+                submitted.append(index)
                 future = Future()
-                future.set_result(fn(cfg, point))
+                future.set_result(fn(cfg, index, rc))
                 return future
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
