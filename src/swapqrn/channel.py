@@ -5,14 +5,20 @@ measuring the readout in Z and discarding it is, on the memory register alone,
 a tensor product of single-qubit amplitude-damping channels with
 p = sin^2(pi gamma / 2). The joint register is never materialized.
 
-The channel is an in-place transfer (:func:`damping_transfer`) followed by
-the scaling S = (x)_q diag(1, A) on rows and S^+ on columns, both applied by
-:func:`damping_channel`.  The exact reservoir kernel folds S, a product of
-one-qubit operators, into the next step's gates and runs only the transfer;
-``reservoir.step`` calls :func:`damping_channel` on the embedded state.
+Qubit q maps its row/col-bit blocks to [[r00 + p r11, conj(A) r01],
+[A r10, |A|^2 r11]]: the decay branch B|0><1| (|B|^2 = p) adds p r11 into
+r00, then S = (x)_q diag(1, A) scales rows and S^+ columns.  Both callers
+frame the state so that each qubit's transfer is one add, r~00 += r~11
+(:func:`damping_transfer`).  :func:`damping_channel` frames rows by
+(x)_q diag(1, p).  The exact reservoir kernel, which applies one block to
+rows and, conjugated, to columns, holds M rho M, M = (x)_q diag(1, s),
+s^2 ~ p (:func:`damping_frame`), and folds M, M^-1 and S into its gates.
 """
 
 from __future__ import annotations
+
+import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -22,6 +28,9 @@ from .gates import check_gamma, damping_probability, n_qubits_of, swap_coefficie
 # numpy's ufunc buffer, in entries, for the strided transfer passes: d_lo^2
 # at 16 qubits, a multiple of 16.  At numpy's 8192 they ran 2.4x slower.
 PASS_BUFFER = 256
+# the largest |s^2 (1 + |c|^2) - 1| that damping_frame aims for: the trace
+# gained or lost per unit of excited population, qubit and step
+FRAME_TOL = 2.0 ** -55
 
 
 def ground_state(n_qubits: int) -> np.ndarray:
@@ -38,50 +47,110 @@ def check_square(rho: np.ndarray) -> int:
     return n_qubits_of(len(rho))
 
 
-def transfer_views(state: np.ndarray, buf: np.ndarray, inner: int = 1) -> list:
-    """Per qubit, the (t00, t11, scratch) operands of :func:`damping_transfer`
-    on ``state``, read as the row and column bit axes of n qubits leading and
-    ``inner`` entries trailing: its [..0.., ..0..] and [..1.., ..1..] blocks
-    and ``buf``, a complex buffer of a quarter of state's entries, each as a
-    (hi, lo, hi, lo, inner) view.  A density matrix is the case inner=1."""
+def _frame_residual(s: float, c: complex) -> float:
+    """|s^2 (1 + |c|^2) - 1|, computed exactly, rounded once."""
+    (sn, sd), (xn, xd), (yn, yd) = (v.as_integer_ratio()
+                                    for v in (s, c.real, c.imag))
+    den = (sd * xd * yd) ** 2
+    return abs(sn * sn * ((xd * yd) ** 2 + (xn * yd) ** 2 + (yn * xd) ** 2)
+               - den) / den
+
+
+def _floats_near(x: float, k: int) -> list:
+    """x and the k floats on each side of it, nearest first."""
+    out, lo, hi = [x], x, x
+    for _ in range(k):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        out += [hi, lo]
+    return out
+
+
+@lru_cache(maxsize=256)
+def damping_frame(gamma: float) -> tuple[float, complex]:
+    """(s, c) of the exact kernel's frame M = (x)_q diag(1, s) at gamma:
+    s^2 ~ p, the transfer's factor, and c ~ A/s, the scaling's in the frame.
+
+    The framed transfer adds s^2 r11 and the scaling leaves s^2 |c|^2 r11,
+    so the trace changes by s^2 (1 + |c|^2) - 1 per unit of excited
+    population, qubit and step, and a run accumulates it.  Plain
+    s = fl(sqrt(p)), c = fl(A/s) leave a few 2^-53 there, more than the
+    p = 1 - fl(|A|^2) of ``gates.damping_probability``, so the pair is
+    searched in exact arithmetic: s over the 16 floats on each side of
+    sqrt(p), nearest first; for each, Re c and Im c over 2 floats on each
+    side of A/|A| sqrt(1/s^2 - 1), the c that zeroes the residual, or of A/s
+    where that c moves s c more than 2^-44 from A.  The first s whose best c
+    reaches ``FRAME_TOL`` is kept, else the best pair seen: near gamma = 1
+    no s may reach it, since s^2 steps by 2^-52 there and p by 2^-53.
+    p = 0 (1 - |A|^2 rounds to 0 below gamma ~ 1e-8) gives (1, A), no frame;
+    there the kernel runs no transfer.
+    """
+    a = complex(swap_coefficients(gamma)[0])
+    p = damping_probability(gamma)
+    if p == 0.0:
+        return 1.0, a
+    best = (math.inf, 1.0, a)
+    for s in _floats_near(math.sqrt(p), 16):
+        num, den = s.as_integer_ratio()  # 1/s^2 - 1, rounded once
+        c = a / abs(a) * math.sqrt(max(den * den - num * num, 0) / num ** 2)
+        if abs(s * c - a) > 2.0 ** -44:
+            c = a / s
+        for re in _floats_near(c.real, 2):
+            for im in _floats_near(c.imag, 2):
+                residual = _frame_residual(s, complex(re, im))
+                if residual < best[0]:
+                    best = (residual, s, complex(re, im))
+        if best[0] <= FRAME_TOL:
+            break
+    return best[1], best[2]
+
+
+def transfer_views(state: np.ndarray, inner: int = 1) -> list:
+    """Per qubit, the (t00, t11) operands of :func:`damping_transfer` on
+    ``state``, read as the row and column bit axes of n qubits leading and
+    ``inner`` entries trailing: its [..0.., ..0..] and [..1.., ..1..] blocks,
+    each as a (hi, lo, hi, lo, inner) view.  A density matrix is the case
+    inner=1."""
     n = n_qubits_of(state.size // inner) // 2
     halves = [(1 << (n - 1 - q), 1 << q) for q in range(n)]
-    return [(t[:, 0, :, :, 0], t[:, 1, :, :, 1],
-             buf.reshape(hi, lo, hi, lo, inner))
+    return [(t[:, 0, :, :, 0], t[:, 1, :, :, 1])
             for hi, lo in halves
             for t in [state.reshape(hi, 2, lo, hi, 2, lo, inner)]]
 
 
-def damping_transfer(views: list, p: float) -> None:
-    """Add p rho[..1.., ..1..] into rho[..0.., ..0..] for each qubit, in place,
-    through the :func:`transfer_views` of rho.  These transfer halves of the
-    damping commute with every qubit's scaling, so all may run before it."""
-    for t00, t11, scratch in views:
-        np.add(t00, np.multiply(p, t11, out=scratch), out=t00)
+def damping_transfer(views: list) -> None:
+    """Add rho~[..1.., ..1..] into rho~[..0.., ..0..] for each qubit, in
+    place, through the :func:`transfer_views` of a framed rho~ whose 1-rows
+    and 1-columns of each qubit together carry the factor p: there the
+    decay branch's r00 += p r11 is one add.  These transfer halves commute
+    with every qubit's scaling, so all may run before it."""
+    for t00, t11 in views:
+        np.add(t00, t11, out=t00)
 
 
 def damping_channel(rho: np.ndarray, gamma: float) -> np.ndarray:
     """Apply the per-qubit damping channel to every qubit of rho.
 
-    Qubit q maps its row/col-bit blocks to [[r00 + p r11, conj(A) r01],
-    [A r10, |A|^2 r11]]: the transfer r00 += p r11, then a scaling that
-    commutes with every other qubit's transfer.  On a copy of rho, which is
-    left untouched, :func:`damping_transfer` runs every qubit's transfer in
-    ascending order, then S rho S^+, S = (x)_q diag(1, A), scales row i by
-    A^popcount(i) and column j by conj(A)^popcount(j).  A rho of any shape
-    but (2**n, 2**n) raises ``ValueError``.
+    On a copy of rho, which is left untouched, with row i framed by
+    p^popcount(i) in the pass that copies it, :func:`damping_transfer` runs
+    every qubit's transfer in ascending order; then row i is scaled by
+    (A/p)^popcount(i), which takes the frame off, and column j by
+    conj(A)^popcount(j).  At p = 0 neither frame nor transfer runs.  The
+    frame is one-sided, unlike the kernel's, as rows and columns are scaled
+    apart here: its factors stay exact where p and A are (gamma = 1/2).  A
+    rho of any shape but (2**n, 2**n) raises ``ValueError``.
     """
     gamma = check_gamma(gamma)
-    out = np.array(rho, dtype=complex)
-    check_square(out)
+    rho = np.asarray(rho)
+    pop = np.bitwise_count(np.arange(1 << check_square(rho)))
     a, _ = swap_coefficients(gamma)
+    p = damping_probability(gamma)
+    frame = p or 1.0
+    out = np.multiply(rho, (frame ** pop)[:, None], dtype=complex)
     with np.errstate():  # restores the caller's buffer size on exit
         np.setbufsize(PASS_BUFFER)
-        damping_transfer(transfer_views(out, np.empty(out.size // 4, complex)),
-                         damping_probability(gamma))
-    scale = a ** np.bitwise_count(np.arange(out.shape[0]))
-    out *= scale[:, None]
-    out *= scale.conj()
+        damping_transfer(transfer_views(out) if p else [])
+    out *= ((a / frame) ** pop)[:, None]
+    out *= (a ** pop).conj()
     return out
 
 
@@ -120,8 +189,9 @@ def outcome_distribution(rho: np.ndarray, gamma: float) -> np.ndarray:
 
 
 def purity(rho: np.ndarray) -> float:
-    """Tr[rho^2]."""
+    """Tr[rho^2].  A rho of any shape but (2**n, 2**n) raises ``ValueError``."""
     rho = np.asarray(rho)
+    check_square(rho)
     return float(np.einsum("ij,ji->", rho, rho).real)
 
 
@@ -207,10 +277,12 @@ def collapse(states, uniforms, p, coef, src, ws):
 def rehermitize(rho: np.ndarray) -> np.ndarray:
     """(rho + rho^+)/2, rescaled to unit trace when it has drifted past 1e-12.
 
-    No path of the package repairs its state any more (``run_exact`` checks
-    it instead); this stays for the traced replay in ``perfbench/child.py``.
+    A rho of any shape but (2**n, 2**n) raises ``ValueError``.  No path of
+    the package repairs its state any more (``run_exact`` checks it
+    instead); this stays for the traced replay in ``perfbench/child.py``.
     """
     rho = np.asarray(rho, dtype=complex)
+    check_square(rho)
     rho = 0.5 * (rho + rho.conj().T)
     tr = np.trace(rho).real
     if abs(tr - 1.0) > 1e-12:

@@ -18,11 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import check_gamma, damping_probability, n_qubits_of, swap_coefficients
+from .gates import check_gamma, damping_probability, n_qubits_of
 from .channel import (
     PASS_BUFFER, collapse, collapse_tables, collapse_workspace,
-    collapse_workspace_bytes, damping_channel, damping_transfer, ground_state,
-    outcome_row, povm_matrix, transfer_views,
+    collapse_workspace_bytes, damping_channel, damping_frame, damping_transfer,
+    ground_state, outcome_row, povm_matrix, transfer_views,
 )
 from .embedding import (compute_angles, crz_ring_diagonal, kron_layer,
                         rotation_stack, series_angles)
@@ -105,7 +105,8 @@ def check_memory(cfg, n_steps):
 
     Counted: every step's rotations, 256 B per step and qubit.  Exact and
     sampled: the held state, the second buffer (the ground state's own
-    memory) and the CRZ phase of :func:`_kernel_plan` (the final Hermiticity
+    memory, which the products alternate with; the framed transfer needs no
+    scratch) and the CRZ phase of :func:`_kernel_plan` (the final Hermiticity
     check, on the held state alone, allocates two more), 256 KiB for numpy's
     iteration buffers (an upper bound: under ``PASS_BUFFER`` a 16-qubit step
     loop grows by about 19 KB), the :func:`_gate_pairs` stacks
@@ -146,29 +147,35 @@ def check_physical_memory(need, what):
     return need
 
 
-def _gate_pairs(rots, fold, n_repeats):
+def _gate_pairs(rots, s, c, n_repeats):
     """(G_hi, G_lo), the Kronecker blocks of the top ceil(n/2) and low
     floor(n/2) qubits, for rotations ``rots`` (..., n_mem, 2, 2), leading
-    axes carried through: of R S, where ``fold`` is the factor A of
-    S = (x)_q diag(1, A) (column 1 of every 2x2 gate times A), then, at
-    ``n_repeats`` > 1, of R."""
+    axes carried through: of diag(1, s) R diag(1, c) per qubit (row 1 of
+    every 2x2 gate times s, then column 1 times c), then, at ``n_repeats``
+    > 1, of diag(1, s) R diag(1, 1/s) (column 1's real and imaginary parts
+    divided by s)."""
     n_lo = rots.shape[-3] // 2
+    framed = rots * [[1.0], [s]]
+    first = framed * [1.0, c]
+    if n_repeats > 1:  # a complex divide would scale by fl(1/s) instead
+        framed.view(float)[..., 2:] /= s
     pairs = ()
-    for gates in (rots * [1.0, fold], rots)[:min(n_repeats, 2)]:
+    for gates in (first, framed)[:min(n_repeats, 2)]:
         pairs += (kron_layer(gates[..., n_lo:, :, :]),
                   kron_layer(gates[..., :n_lo, :, :]))
     return pairs
 
 
-def _kernel_plan(rho, weights, cfg):
+def _kernel_plan(rho, weights, cfg, s=1.0):
     """What every step shares, built once per run.  The held state is rho,
     axes (r_hi, r_lo) x (c_hi, c_lo), in the order (r_lo, c_lo, c_hi, r_hi);
     rho is copied in, and its own C-contiguous memory is then the second
-    buffer.  Also: each product's (input, output) views, the CRZ phase
-    crz_i conj(crz_j) (C-ordered like the held state, which it multiplies
-    in place) and diag(rho) in the held layout, the lo and hi
-    :func:`transfer_views` with the second buffer as scratch, the
-    :func:`povm_matrix` and the damping probability."""
+    buffer, which the products alternate with.  Also: each product's
+    (input, output) views, the CRZ phase crz_i conj(crz_j) (C-ordered like
+    the held state, which it multiplies in place), diag(rho) in the held
+    layout, the lo and hi :func:`transfer_views` (none at p = 0), the
+    :func:`povm_matrix`, and s^(2 popcount), the factor the frame
+    M = (x)_q diag(1, s) puts on each held population (s = 1: no frame)."""
     d_lo, d_hi = 1 << cfg.n_mem // 2, 1 << (cfg.n_mem + 1) // 2
     held = np.empty((d_lo, d_lo, d_hi, d_hi), complex)
     np.copyto(held, rho.reshape(d_hi, d_lo, d_hi, d_lo).transpose(1, 3, 2, 0))
@@ -180,31 +187,34 @@ def _kernel_plan(rho, weights, cfg):
             np.multiply(crz[:, None, None, :], crz.conj()[:, :, None],
                         order="C"),
             held.diagonal().diagonal().T,
-            *(transfer_views(held, other[:rho.size // 4], d * d)
-              for d in (d_hi, d_lo)),
-            povm_matrix(cfg.gamma, cfg.n_mem), damping_probability(cfg.gamma))
+            *(transfer_views(held, d * d) if damping_probability(cfg.gamma)
+              else [] for d in (d_hi, d_lo)),
+            povm_matrix(cfg.gamma, cfg.n_mem),
+            np.square(s ** np.bitwise_count(np.arange(d_hi * d_lo))).reshape(
+                d_hi, d_lo))
 
 
 def _kernel_step(plan, gates, n_repeats, pending):
     """One step on the held state of ``plan``, without forming U: leaves
-    rho_emb held and returns its readout row.  Per repeat, four one-call
-    products each multiply the leading axis by a factor of ``gates`` (the
-    step's folded :func:`_gate_pairs`, then the unfolded pair) and write it
-    last: rows by G_lo, columns by conj(G_lo), columns by conj(G_hi), rows
-    by G_hi; then the CRZ phase.  ``pending`` runs the previous step's T_hi,
-    the hi qubits' damping transfer, once the lo products are done and the
-    hi axes lead: T_hi commutes with them, and the fold of S is a product
-    over qubits."""
-    held, moves, phase, diag, _, hi_views, povm, p = plan
+    M rho_emb M held and returns the readout row of rho_emb.  Per repeat,
+    four one-call products each multiply the leading axis by a factor of
+    ``gates``, the step's :func:`_gate_pairs` (the first pair, then the
+    second), and write it last: rows by G_lo, columns by conj(G_lo),
+    columns by conj(G_hi), rows by G_hi; then the CRZ phase, diagonal like
+    M.  ``pending`` runs the previous step's T_hi, the hi qubits' damping
+    transfer, once the lo products are done and the hi axes lead: T_hi
+    commutes with them, and the folds are products over qubits.  The held
+    populations are divided by s^(2 popcount) before :func:`outcome_row`."""
+    held, moves, phase, diag, _, hi_views, povm, pops = plan
     for k in range(n_repeats):
         g_hi, g_lo = gates[:2] if k == 0 else gates[-2:]
         factors = (g_lo.T, g_lo.conj().T, g_hi.conj().T, g_hi.T)
         for i, ((x, y), h) in enumerate(zip(moves, factors)):
             if i == 2 and k == 0 and pending:
-                damping_transfer(hi_views, p)
+                damping_transfer(hi_views)
             np.matmul(x, h, out=y)
         np.multiply(held, phase, out=held)
-    return outcome_row(diag, povm)
+    return outcome_row(diag.real / pops, povm)
 
 
 def step(rho, u_context, weights, cfg):
@@ -223,7 +233,7 @@ def step(rho, u_context, weights, cfg):
     _check_health("Hermiticity residual", np.max(np.abs(state - state.conj().T)),
                   "of the input state", ValueError)
     gates = _gate_pairs(rotation_stack(compute_angles(u_context, weights)),
-                        1.0, cfg.n_repeats)
+                        1.0, 1.0, cfg.n_repeats)
     plan = _kernel_plan(state, weights, cfg)
     dist = _kernel_step(plan, gates, cfg.n_repeats, False)
     back = plan[0].transpose(3, 0, 2, 1)  # into state's memory, free again
@@ -239,33 +249,45 @@ def _check_health(name, value, where, error=FloatingPointError):
 def run_exact(u, weights, cfg):
     """Feature matrix (T, 2**n_mem) of exact readout distributions.
 
-    The :func:`_gate_pairs` stacks and the :func:`_kernel_plan` are built
-    before the step loop.  After each :func:`_kernel_step` the lo qubits'
-    damping transfer runs; the hi qubits' is deferred into the next step and
-    the scaling folded into its rotations (S|0><0|S^+ = |0><0|: exact from
-    the start).  The loop runs under a ``PASS_BUFFER``-entry ufunc buffer.
-    The state is checked, not repaired: the trace drift |sum of row t - 1|
-    every step (the POVM columns sum to 1) and, with all else released, the
-    Hermiticity residual max|rho - rho^+| of the final state (the channel is
-    trace-norm contractive, so the anti-Hermitian part cannot grow between
-    checks); either past ``HEALTH_TOL`` raises ``FloatingPointError``.
+    The state is held in the frame M rho M, M = (x)_q diag(1, s), of the
+    :func:`swapqrn.channel.damping_frame` (s, c), where each qubit's damping
+    transfer is one add.  The :func:`_gate_pairs` stacks and the
+    :func:`_kernel_plan` are built before the step loop.  After each
+    :func:`_kernel_step` the lo qubits' transfer runs; the hi qubits' is
+    deferred into the next step.  Every repeat applies M R M^-1, the first
+    M R S M^-1 with the scaling S = (x)_q diag(1, A) and M^-1 folded into
+    c: the state stays framed throughout (M |0><0| M = |0><0|: exact from
+    the start).  Each factor is folded per 2x2 gate, where its rounding
+    varies with the rotations; rows of a (d, d) block times a fixed
+    fl(s^k) would round alike on every step, and the trace drifted by it.
+    The loop runs under a ``PASS_BUFFER``-entry ufunc buffer.  The state is
+    checked, not repaired: the trace drift |sum of row t - 1| every step
+    (the POVM columns sum to 1) and, with all else released, the
+    Hermiticity residual max|rho - rho^+| of the final state, taken off the
+    frame in place (the channel is trace-norm contractive, so the
+    anti-Hermitian part cannot grow between checks); either past
+    ``HEALTH_TOL`` raises ``FloatingPointError``.
     """
     _check_weights(weights, cfg)
     u = np.asarray(u, dtype=float)
     check_memory(cfg, len(u))
-    a, _ = swap_coefficients(cfg.gamma)
-    stacks = _gate_pairs(rotation_stack(series_angles(u, weights)), a,
+    s, c = damping_frame(cfg.gamma)
+    stacks = _gate_pairs(rotation_stack(series_angles(u, weights)), s, c,
                          cfg.n_repeats)
-    plan = _kernel_plan(ground_state(cfg.n_mem), weights, cfg)
+    plan = _kernel_plan(ground_state(cfg.n_mem), weights, cfg, s)
     features = np.empty((len(u), 2 ** cfg.n_mem))
     with np.errstate():  # restores the caller's buffer size on exit
         np.setbufsize(PASS_BUFFER)
         for t, gates in enumerate(zip(*stacks)):
             features[t] = _kernel_step(plan, gates, cfg.n_repeats, t > 0)
-            damping_transfer(plan[4], plan[-1])  # the lo qubits' views, p
+            damping_transfer(plan[4])  # the lo qubits' views
             _check_health("trace drift", abs(features[t].sum() - 1.0),
                           f"at step {t}")
-    rho, stacks, gates, plan = plan[0], None, None, None  # views into both
+    rho, d_lo = plan[0], len(plan[0])
+    stacks, gates, plan = None, None, None  # views into both buffers
+    m = s ** np.bitwise_count(np.arange(2 ** cfg.n_mem))  # M's diagonal
+    rho /= np.multiply.outer(m[:d_lo], m[:d_lo])[:, :, None, None]
+    rho /= np.multiply.outer(m[::d_lo], m[::d_lo])  # so off the frame
     if len(u):  # rho[j, i] of the held rho[i, j]: swap rows and columns
         _check_health("Hermiticity residual", np.max(np.abs(
             rho - rho.transpose(1, 0, 3, 2).conj())), f"at step {len(u) - 1}")

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from swapqrn.channel import (collapse, collapse_tables, collapse_workspace,
-                             ground_state)
+                             damping_frame, ground_state)
 from swapqrn.embedding import (compute_angles, context_window, crz_ring_diagonal,
                                embedding_unitary, kron_layer, rotation_stack)
 from swapqrn.gates import (check_gamma, damping_probability, n_qubits_of,
@@ -254,18 +254,21 @@ def dense_step(rho, u_context, weights, cfg):
 
 
 def run_exact_per_step(u, weights, cfg):
-    """The exact recursion with every step's gates built inside the loop:
-    the angles, the rotation stack and both halves' Kronecker blocks per
-    step, the damping factor A folded into the first repeat's gates.  rho is
-    held as (r_lo, c_lo, c_hi, r_hi), hi the top ceil(n/2) qubits; per
-    repeat, four products each multiply the leading axis and move it last
-    (rows by G_lo, columns by conj(G_lo), columns by conj(G_hi), rows by
-    G_hi), then the CRZ phase.  The outcome row comes from the clipped
-    diagonal; each lo qubit's transfer runs at once, with a fresh temporary,
-    and each hi qubit's in the next step, after its two lo products.  Its
-    features are the reference the per-run gate stacks and views of
-    ``run_exact`` must equal bit for bit."""
-    a, _ = swap_coefficients(cfg.gamma)
+    """The exact recursion with every step's gates built inside the loop,
+    in the frame M rho M, M = (x)_q diag(1, s), of the package's
+    ``damping_frame`` (s, c): the angles, the rotation stack and both
+    halves' Kronecker blocks per step, of diag(1, s) R diag(1, c) in the
+    first repeat and of diag(1, s) R diag(1, 1/s) in every later one.
+    rho is held as (r_lo, c_lo, c_hi, r_hi), hi the top ceil(n/2) qubits;
+    per repeat, four products each multiply the leading axis and move it
+    last (rows by G_lo, columns by conj(G_lo), columns by conj(G_hi), rows
+    by G_hi), then the CRZ phase.  The outcome row comes from the diagonal
+    divided by s^(2 popcount), then clipped; each lo qubit's framed
+    transfer rho00 += rho11 runs at once, each hi qubit's in the next step,
+    after its two lo products, and none at p = 0.  Its features are the
+    reference the per-run gate stacks and views of ``run_exact`` must equal
+    bit for bit."""
+    s, c = damping_frame(cfg.gamma)
     p = damping_probability(cfg.gamma)
     n, dim = cfg.n_mem, 2 ** cfg.n_mem
     d_lo = 1 << n // 2
@@ -274,32 +277,36 @@ def run_exact_per_step(u, weights, cfg):
     crz = crz_ring_diagonal(weights.w_hidden).reshape(d_hi, d_lo).T
     phase = crz[:, None, None, :] * crz.conj()[None, :, :, None]
     povm = povm_kron(cfg.gamma, n)
+    pops = np.square(s ** np.bitwise_count(np.arange(dim))).reshape(d_hi, d_lo)
 
     def move(x, h):  # x's leading axis times h, written last
         return (x.reshape(len(h), -1).T @ h).reshape(-1)
 
     def transfer(x, n_bits, inner):  # n_bits pair axes lead, inner trails
-        for q in range(n_bits):
+        for q in range(n_bits if p else 0):
             hi, lo = 1 << (n_bits - 1 - q), 1 << q
             view = x.reshape(hi, 2, lo, hi, 2, lo, inner)
-            view[:, 0, :, :, 0] += p * view[:, 1, :, :, 1]
+            view[:, 0, :, :, 0] += view[:, 1, :, :, 1]
 
     features = np.empty((len(u), dim))
     for t in range(len(u)):
         rots = rotation_stack(compute_angles(context_window(u, t, cfg.c),
                                              weights))
-        gates = rots * [1.0, a]
+        framed = rots * [[1.0], [s]]
+        later = framed.copy()
+        later.real[..., 1] /= s  # column 1, part by part
+        later.imag[..., 1] /= s
         for k in range(cfg.n_repeats):
-            if k < 2:  # repeat 0 applies R S, every later repeat the same R
-                g_hi, g_lo = kron_layer(gates[n // 2:]), kron_layer(gates[:n // 2])
-                gates = rots
+            gates = framed * [1.0, c] if k == 0 else later
+            g_hi, g_lo = kron_layer(gates[n // 2:]), kron_layer(gates[:n // 2])
             x = move(move(rho, g_lo.T), g_lo.conj().T)
             if t > 0 and k == 0:
                 transfer(x, n - n // 2, d_lo * d_lo)
             rho = move(move(x, g_hi.conj().T), g_hi.T)
             rho *= phase.reshape(-1)  # in place, as the kernel's
         diag = np.einsum("aabb->ba", rho.reshape(d_lo, d_lo, d_hi, d_hi))
-        features[t] = povm @ np.clip(diag.real.reshape(-1), 0.0, None)
+        features[t] = povm @ np.clip((diag.real / pops).reshape(-1), 0.0,
+                                     None)
         transfer(rho, n // 2, d_hi * d_hi)
     return features
 

@@ -3,10 +3,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from fractions import Fraction
+
 from swapqrn.channel import (
-    damping_channel, outcome_distribution, povm_matrix, purity, ground_state,
-    rehermitize,
+    FRAME_TOL, damping_channel, damping_frame, outcome_distribution,
+    povm_matrix, purity, ground_state, rehermitize,
 )
+from swapqrn.gates import damping_probability, swap_coefficients
 
 import oracles
 from oracles import check_density_matrix, kraus_pair, trajectory_step
@@ -127,6 +130,19 @@ class TestDampingChannel:
         with pytest.raises(ValueError, match=rf"rho has shape \({shape[0]},"):
             damping_channel(np.ones(shape) / 4, 0.5)
 
+    # p = 0 (no frame, no transfer), the smallest nonzero p and p = 1
+    @pytest.mark.parametrize("gamma,p", [(1e-9, 0.0), (1e-8, 2.0 ** -52),
+                                         (1.0, 1.0)])
+    def test_frame_edges_match_kraus_sum(self, gamma, p):
+        """Where the row frame (x)_q diag(1, p) is the identity, smallest, or
+        p = 1, the channel is the explicit Kraus sum."""
+        assert damping_probability(gamma) == p
+        rng = np.random.default_rng(31)
+        for n in range(1, 7):
+            rho = oracles.random_density(rng, 2 ** n)
+            assert np.max(np.abs(damping_channel(rho, gamma)
+                                 - oracles.damping_kraus_sum(rho, gamma))) <= 1e-12
+
 
 class TestOutcomeDistribution:
 
@@ -221,6 +237,34 @@ class TestPurityAndDecay:
     def test_purity_values(self):
         assert abs(purity(ground_state(3)) - 1.0) <= 1e-14
         assert abs(purity(np.eye(4, dtype=complex) / 4) - 0.25) <= 1e-14
+
+    @pytest.mark.parametrize("shape", [(1, 4), (4, 8)])
+    def test_purity_rejects_non_square(self, shape):
+        """Not the einsum of a broadcast row (a (1, 4) row read 1.0)."""
+        with pytest.raises(ValueError, match=rf"rho has shape \({shape[0]},"):
+            purity(np.ones(shape) / 4)
+
+
+class TestDampingFrame:
+    """The exact kernel's frame constants (s, c): s^2 ~ p, c ~ A/s."""
+
+    @pytest.mark.parametrize("gamma", [1e-8, 1e-6, 0.001, 0.05, 0.3, 0.55,
+                                       0.75, 0.9, 1.0])
+    def test_conserves_trace(self, gamma):
+        """s^2 (1 + |c|^2) - 1, taken in fractions, within ``FRAME_TOL``,
+        and s^2 and s c a few roundings from p and A."""
+        s, c = damping_frame(gamma)
+        a, _ = swap_coefficients(gamma)
+        p = damping_probability(gamma)
+        residual = (Fraction(s) ** 2 * (1 + Fraction(c.real) ** 2
+                                        + Fraction(c.imag) ** 2) - 1)
+        assert abs(residual) <= FRAME_TOL
+        assert abs(s * s - p) <= 2.0 ** -46 * p
+        assert abs(s * c - a) <= 2.0 ** -44
+
+    def test_no_frame_at_p_zero(self):
+        a, _ = swap_coefficients(1e-9)
+        assert damping_frame(1e-9) == (1.0, a)
 
 
 class TestTrajectoryStep:
@@ -318,6 +362,12 @@ class TestValidation:
         bad = np.diag([1.5, -0.5]).astype(complex)
         with pytest.raises(ValueError):
             check_density_matrix(bad)
+
+    @pytest.mark.parametrize("shape", [(1, 4), (4, 8)])
+    def test_rehermitize_rejects_non_square(self, shape):
+        """Not the (4, 4) sum of a row broadcast against its column."""
+        with pytest.raises(ValueError, match=rf"rho has shape \({shape[0]},"):
+            rehermitize(np.ones(shape) / 4)
 
     def test_rehermitize(self):
         rho = oracles.random_density(np.random.default_rng(2), 4)

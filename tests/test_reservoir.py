@@ -227,6 +227,52 @@ class TestFactoredKernel:
             rho = rehermitize(rho)
             assert np.max(np.abs(rows[t] - dist)) <= 1e-12
 
+    # p = 0 (no frame, no transfer), the smallest nonzero p and p = 1
+    @pytest.mark.parametrize("gamma", [1e-9, 1e-8, 1.0])
+    @pytest.mark.parametrize("n_repeats", [1, 2, 3])
+    @pytest.mark.parametrize("n_mem", [1, 2, 3, 4, 5, 6, 7, 8])
+    def test_frame_edges_match_dense_step(self, n_mem, n_repeats, gamma):
+        """Where the frame is the identity, smallest (s = 2^-26, so
+        c ~ 2^26) or s = 1 with c ~ 0, the kernel stays on the dense
+        recursion."""
+        cfg = ReservoirConfig(n_qubits=2 * n_mem, gamma=gamma,
+                              n_repeats=n_repeats, c=2, seed=n_mem)
+        w = init_weights(cfg.seed, c=2, n_mem=n_mem)
+        u = np.random.default_rng(n_mem + 10 * n_repeats).random(12)
+        rows = run_exact(u, w, cfg)
+        rho = ground_state(n_mem)
+        for t in range(len(u)):
+            rho, dist = oracles.dense_step(rho, context_window(u, t, 2), w, cfg)
+            assert np.max(np.abs(rows[t] - dist)) <= 1e-12
+
+    @pytest.mark.parametrize("n_repeats", [1, 3])
+    @pytest.mark.parametrize("n_mem", [3, 4])
+    def test_outcome_reads_unframed_populations(self, monkeypatch, n_mem,
+                                                n_repeats):
+        """The populations ``outcome_row`` clips and checks are those of
+        rho_emb itself, not of the framed state the kernel holds."""
+        seen = []
+
+        def outcome_row(populations, povm):
+            seen.append(np.array(populations, dtype=float).reshape(-1))
+            return channel.outcome_row(populations, povm)
+
+        monkeypatch.setattr(reservoir, "outcome_row", outcome_row)
+        cfg = ReservoirConfig(n_qubits=2 * n_mem, gamma=0.05,
+                              n_repeats=n_repeats, c=2)
+        w = init_weights(4, c=2, n_mem=n_mem)
+        u = np.random.default_rng(n_mem).random(40)
+        run_exact(u, w, cfg)
+        assert len(seen) == len(u)
+        rho = ground_state(n_mem)
+        for t in range(len(u)):
+            x = context_window(u, t, 2)
+            unitary = embedding_unitary(compute_angles(x, w), w.w_hidden,
+                                        n_repeats)
+            rho_emb = unitary @ rho @ unitary.conj().T
+            assert np.max(np.abs(seen[t] - rho_emb.diagonal().real)) <= 1e-12
+            rho = oracles.damping_moveaxis(rho_emb, cfg.gamma)
+
     @pytest.mark.parametrize("n_qubits", [12, 14, 16])
     def test_phase_laid_out_as_the_held_state(self, n_qubits):
         """The CRZ phase, multiplied into the held state in place every
@@ -297,6 +343,21 @@ class TestHealthChecks:
         with pytest.raises(FloatingPointError,
                            match=r"Hermiticity residual .* at step 2 exceeds"):
             run_exact(np.zeros(3), init_weights(1, c=1, n_mem=2), self.CFG)
+
+
+class TestTraceDrift:
+    """The frame's searched constants keep the trace: after 2,000 steps at
+    16 qubits the last row sums to 1 within 5e-13 (-2.2e-14 and -5.3e-14
+    here).  The unframed recursion read +5.3e-13 at gamma = 0.001 on this
+    input; plain fl(sqrt(p)), fl(A/s) drift one way, -2.3 to -5.6e-13 at
+    gamma = 0.05 over five inputs."""
+
+    @pytest.mark.parametrize("gamma", [0.001, 0.05])
+    def test_last_row_sums_to_one(self, gamma):
+        cfg = ReservoirConfig(n_qubits=16, gamma=gamma)
+        w = init_weights(1, c=1, n_mem=8)
+        rows = run_exact(np.random.default_rng(3).random(2000), w, cfg)
+        assert abs(rows[-1].sum() - 1.0) <= 5e-13
 
 
 class TestMemoryCheck:
@@ -455,9 +516,9 @@ class TestPassBuffer:
     def test_buffer_scoped_to_the_passes(self, monkeypatch, name, caller):
         transfer_passes, seen = channel.damping_transfer, []
 
-        def transfer(views, p):
+        def transfer(views):
             seen.append(np.getbufsize())
-            transfer_passes(views, p)
+            transfer_passes(views)
 
         monkeypatch.setattr(reservoir, "damping_transfer", transfer)
         monkeypatch.setattr(channel, "damping_transfer", transfer)
