@@ -7,18 +7,13 @@ p = sin^2(pi gamma / 2). The joint register is never materialized.
 
 Qubit q maps its row/col-bit blocks to [[r00 + p r11, conj(A) r01],
 [A r10, |A|^2 r11]]: the decay branch B|0><1| (|B|^2 = p) adds p r11 into
-r00, then S = (x)_q diag(1, A) scales rows and S^+ columns.  Both callers
-frame the state so that each qubit's transfer is one add, r~00 += r~11
-(:func:`damping_transfer`).  :func:`damping_channel` frames rows by
-(x)_q diag(1, p).  The exact reservoir kernel, which applies one block to
-rows and, conjugated, to columns, holds M rho M, M = (x)_q diag(1, s),
-s^2 ~ p (:func:`damping_frame`), and folds M, M^-1 and S into its gates.
+r00, then S = (x)_q diag(1, A) scales rows and S^+ columns.
+:func:`damping_channel` and the exact reservoir kernel both run the transfer
+on a framed state, where it is one add per qubit (:func:`damping_transfer`);
+the kernel's frame is ``reservoir.damping_frame``.
 """
 
 from __future__ import annotations
-
-import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -28,9 +23,6 @@ from .gates import check_gamma, damping_probability, n_qubits_of, swap_coefficie
 # numpy's ufunc buffer, in entries, for the strided transfer passes: d_lo^2
 # at 16 qubits, a multiple of 16.  At numpy's 8192 they ran 2.4x slower.
 PASS_BUFFER = 256
-# the largest |s^2 (1 + |c|^2) - 1| that damping_frame aims for: the trace
-# gained or lost per unit of excited population, qubit and step
-FRAME_TOL = 2.0 ** -55
 
 
 def ground_state(n_qubits: int) -> np.ndarray:
@@ -45,63 +37,6 @@ def check_square(rho: np.ndarray) -> int:
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"rho has shape {rho.shape}, not (2**n, 2**n)")
     return n_qubits_of(len(rho))
-
-
-def _frame_residual(s: float, c: complex) -> float:
-    """|s^2 (1 + |c|^2) - 1|, computed exactly, rounded once."""
-    (sn, sd), (xn, xd), (yn, yd) = (v.as_integer_ratio()
-                                    for v in (s, c.real, c.imag))
-    den = (sd * xd * yd) ** 2
-    return abs(sn * sn * ((xd * yd) ** 2 + (xn * yd) ** 2 + (yn * xd) ** 2)
-               - den) / den
-
-
-def _floats_near(x: float, k: int) -> list:
-    """x and the k floats on each side of it, nearest first."""
-    out, lo, hi = [x], x, x
-    for _ in range(k):
-        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
-        out += [hi, lo]
-    return out
-
-
-@lru_cache(maxsize=256)
-def damping_frame(gamma: float) -> tuple[float, complex]:
-    """(s, c) of the exact kernel's frame M = (x)_q diag(1, s) at gamma:
-    s^2 ~ p, the transfer's factor, and c ~ A/s, the scaling's in the frame.
-
-    The framed transfer adds s^2 r11 and the scaling leaves s^2 |c|^2 r11,
-    so the trace changes by s^2 (1 + |c|^2) - 1 per unit of excited
-    population, qubit and step, and a run accumulates it.  Plain
-    s = fl(sqrt(p)), c = fl(A/s) leave a few 2^-53 there, more than the
-    p = 1 - fl(|A|^2) of ``gates.damping_probability``, so the pair is
-    searched in exact arithmetic: s over the 16 floats on each side of
-    sqrt(p), nearest first; for each, Re c and Im c over 2 floats on each
-    side of A/|A| sqrt(1/s^2 - 1), the c that zeroes the residual, or of A/s
-    where that c moves s c more than 2^-44 from A.  The first s whose best c
-    reaches ``FRAME_TOL`` is kept, else the best pair seen: near gamma = 1
-    no s may reach it, since s^2 steps by 2^-52 there and p by 2^-53.
-    p = 0 (1 - |A|^2 rounds to 0 below gamma ~ 1e-8) gives (1, A), no frame;
-    there the kernel runs no transfer.
-    """
-    a = complex(swap_coefficients(gamma)[0])
-    p = damping_probability(gamma)
-    if p == 0.0:
-        return 1.0, a
-    best = (math.inf, 1.0, a)
-    for s in _floats_near(math.sqrt(p), 16):
-        num, den = s.as_integer_ratio()  # 1/s^2 - 1, rounded once
-        c = a / abs(a) * math.sqrt(max(den * den - num * num, 0) / num ** 2)
-        if abs(s * c - a) > 2.0 ** -44:
-            c = a / s
-        for re in _floats_near(c.real, 2):
-            for im in _floats_near(c.imag, 2):
-                residual = _frame_residual(s, complex(re, im))
-                if residual < best[0]:
-                    best = (residual, s, complex(re, im))
-        if best[0] <= FRAME_TOL:
-            break
-    return best[1], best[2]
 
 
 def transfer_views(state: np.ndarray, inner: int = 1) -> list:

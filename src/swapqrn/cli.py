@@ -29,7 +29,6 @@ import sys
 import time
 from collections.abc import Callable
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
-from contextlib import contextmanager, suppress
 from dataclasses import dataclass, asdict, fields, replace
 from itertools import product
 from pathlib import Path
@@ -38,7 +37,7 @@ from typing import get_args, get_origin
 import numpy as np
 
 from . import __version__
-from .reservoir import BACKENDS, ReservoirConfig, check_memory
+from .reservoir import BACKENDS, ReservoirConfig, atomic_open, check_memory
 from .tasks import (
     StmcSpec, NarmaSpec, EsnConfig, check_esn_alpha, check_esn_memory,
     run_stmc, run_narma, run_esn_narma,
@@ -120,7 +119,7 @@ def _section_values(parser, section, schema):
     return values
 
 
-def parse_config(task=None, config_path=None, flag_overrides=None):
+def parse_config(config_path=None, flag_overrides=None):
     """Merge defaults, config-file sections, and flag overrides into a
     validated :class:`ExperimentConfig`.  Flags win over file values.  Only
     values are checked here; each verb checks memory for the points it runs."""
@@ -128,7 +127,7 @@ def parse_config(task=None, config_path=None, flag_overrides=None):
     parser = _read_sections(config_path) if config_path else None
 
     experiment = _section_values(parser, "experiment", _EXPERIMENT_SCHEMA)
-    task = task or flags.pop("task", None) or experiment.get("task", next(iter(TASKS)))
+    task = flags.pop("task", None) or experiment.get("task", next(iter(TASKS)))
     if task not in TASKS:
         raise ConfigError(
             f"experiment.task must be one of {tuple(TASKS)}, got {task!r}")
@@ -345,23 +344,6 @@ def _execute_point(cfg, index, rc):
 # output files
 # ---------------------------------------------------------------------------
 
-@contextmanager
-def _atomic_open(path):
-    """Write to a temp file beside ``path``; rename it over ``path`` once done.
-
-    If the write raises, the temp file is removed and ``path`` left as it was.
-    """
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "w", newline="") as handle:
-            yield handle
-        os.replace(tmp, path)
-    except BaseException:
-        with suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
-
-
 def _fmt(value):
     if value is None or (isinstance(value, float) and not math.isfinite(value)):
         return "nan"
@@ -387,7 +369,7 @@ def _metric_rows(record):
 
 
 def _write_csv(path, header, rows):
-    with _atomic_open(path) as handle:
+    with atomic_open(path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -415,12 +397,12 @@ def _write_manifest(outdir, cfg, filenames):
     digest = hashlib.sha256(payload.encode()).hexdigest()
     lines = [f"artifact swapqrn {__version__}", f"config_sha256 {digest}"]
     lines += [f"file {name}" for name in filenames]
-    with _atomic_open(Path(outdir) / "MANIFEST") as handle:
+    with atomic_open(Path(outdir) / "MANIFEST") as handle:
         handle.write("\n".join(lines) + "\n")
 
 
 def _write_json(path, payload):
-    with _atomic_open(path) as handle:
+    with atomic_open(path) as handle:
         json.dump(payload, handle, indent=2)
         handle.write("\n")
 

@@ -13,16 +13,20 @@ propagates a pure state through stochastic collapse at each step.
 """
 
 import csv
+import math
 import os
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .gates import check_gamma, damping_probability, n_qubits_of
+from .gates import (check_gamma, damping_probability, n_qubits_of,
+                    swap_coefficients)
 from .channel import (
     PASS_BUFFER, collapse, collapse_tables, collapse_workspace,
-    collapse_workspace_bytes, damping_channel, damping_frame, damping_transfer,
-    ground_state, outcome_row, povm_matrix, transfer_views,
+    collapse_workspace_bytes, damping_channel, damping_transfer, ground_state,
+    outcome_row, povm_matrix, transfer_views,
 )
 from .embedding import (compute_angles, crz_ring_diagonal, kron_layer,
                         rotation_stack, series_angles)
@@ -30,6 +34,9 @@ from .embedding import (compute_angles, crz_ring_diagonal, kron_layer,
 BACKENDS = ("exact", "sampled", "trajectory")
 CHUNK = 4096  # shots per trajectory batch
 HEALTH_TOL = 1e-10  # largest trace drift or Hermiticity residual accepted
+# the largest |s^2 (1 + |c|^2) - 1| that damping_frame aims for: the trace
+# gained or lost per unit of excited population, qubit and step
+FRAME_TOL = 2.0 ** -55
 
 
 def check_seed(seed):
@@ -147,13 +154,79 @@ def check_physical_memory(need, what):
     return need
 
 
+def _frame_residual(s: float, c: complex) -> float:
+    """|s^2 (1 + |c|^2) - 1|, computed exactly, rounded once."""
+    (sn, sd), (xn, xd), (yn, yd) = (v.as_integer_ratio()
+                                    for v in (s, c.real, c.imag))
+    den = (sd * xd * yd) ** 2
+    return abs(sn * sn * ((xd * yd) ** 2 + (xn * yd) ** 2 + (yn * xd) ** 2)
+               - den) / den
+
+
+def _floats_near(x: float, k: int) -> list:
+    """x and the k floats on each side of it, nearest first."""
+    out, lo, hi = [x], x, x
+    for _ in range(k):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        out += [hi, lo]
+    return out
+
+
+@lru_cache(maxsize=256)
+def damping_frame(gamma: float) -> tuple[float, complex]:
+    """(s, c), s^2 ~ p and c ~ A/s, of the frame M = (x)_q diag(1, s) in
+    which :func:`run_exact` holds M rho M at gamma.
+
+    There each qubit's transfer r00 += p r11 is one add, r~00 += r~11
+    (``channel.damping_transfer``).  M and the scaling S = (x)_q diag(1, A)
+    are products over qubits, folded into the gates (:func:`_gate_pairs`):
+    every repeat applies M R M^-1, the first M R S M^-1, so the state stays
+    framed (M |0><0| M = |0><0|).  The readout divides the populations by
+    s^(2 popcount), the final check the state by M's entries.
+
+    The framed transfer adds s^2 r11 and the scaling leaves s^2 |c|^2 r11,
+    so the trace changes by s^2 (1 + |c|^2) - 1 per unit of excited
+    population, qubit and step, and a run accumulates it.  Plain
+    s = fl(sqrt(p)), c = fl(A/s) leave a few 2^-53 there, more than the
+    p = 1 - fl(|A|^2) of ``gates.damping_probability``, so the pair is
+    searched in exact arithmetic: s over the 16 floats on each side of
+    sqrt(p), nearest first; for each, Re c and Im c over 2 floats on each
+    side of A/|A| sqrt(1/s^2 - 1), the c that zeroes the residual, or of A/s
+    where that c moves s c more than 2^-44 from A.  The first s whose best c
+    reaches ``FRAME_TOL`` is kept, else the best pair seen: near gamma = 1
+    no s may reach it, since s^2 steps by 2^-52 there and p by 2^-53.
+    p = 0 (1 - |A|^2 rounds to 0 below gamma ~ 1e-8) gives (1, A), no frame;
+    there the kernel runs no transfer.
+    """
+    a = complex(swap_coefficients(gamma)[0])
+    p = damping_probability(gamma)
+    if p == 0.0:
+        return 1.0, a
+    best = (math.inf, 1.0, a)
+    for s in _floats_near(math.sqrt(p), 16):
+        num, den = s.as_integer_ratio()  # 1/s^2 - 1, rounded once
+        c = a / abs(a) * math.sqrt(max(den * den - num * num, 0) / num ** 2)
+        if abs(s * c - a) > 2.0 ** -44:
+            c = a / s
+        for re in _floats_near(c.real, 2):
+            for im in _floats_near(c.imag, 2):
+                residual = _frame_residual(s, complex(re, im))
+                if residual < best[0]:
+                    best = (residual, s, complex(re, im))
+        if best[0] <= FRAME_TOL:
+            break
+    return best[1], best[2]
+
+
 def _gate_pairs(rots, s, c, n_repeats):
     """(G_hi, G_lo), the Kronecker blocks of the top ceil(n/2) and low
     floor(n/2) qubits, for rotations ``rots`` (..., n_mem, 2, 2), leading
-    axes carried through: of diag(1, s) R diag(1, c) per qubit (row 1 of
-    every 2x2 gate times s, then column 1 times c), then, at ``n_repeats``
-    > 1, of diag(1, s) R diag(1, 1/s) (column 1's real and imaginary parts
-    divided by s)."""
+    axes carried through, with the :func:`damping_frame` folded in per 2x2
+    gate: diag(1, s) R diag(1, c) (row 1 times s, then column 1 times c),
+    then, at ``n_repeats`` > 1, diag(1, s) R diag(1, 1/s) (column 1's real
+    and imaginary parts divided by s).  Per 2x2 gate the folds' rounding
+    varies with the rotations; rows of a (d, d) block times a fixed fl(s^k)
+    rounded alike every step, and the trace drifted by it."""
     n_lo = rots.shape[-3] // 2
     framed = rots * [[1.0], [s]]
     first = framed * [1.0, c]
@@ -173,9 +246,9 @@ def _kernel_plan(rho, weights, cfg, s=1.0):
     buffer, which the products alternate with.  Also: each product's
     (input, output) views, the CRZ phase crz_i conj(crz_j) (C-ordered like
     the held state, which it multiplies in place), diag(rho) in the held
-    layout, the lo and hi :func:`transfer_views` (none at p = 0), the
-    :func:`povm_matrix`, and s^(2 popcount), the factor the frame
-    M = (x)_q diag(1, s) puts on each held population (s = 1: no frame)."""
+    layout, the [lo, hi] :func:`transfer_views` (empty at p = 0), the
+    :func:`povm_matrix`, and s^(2 popcount), the factor the
+    :func:`damping_frame` puts on each held population (s = 1: no frame)."""
     d_lo, d_hi = 1 << cfg.n_mem // 2, 1 << (cfg.n_mem + 1) // 2
     held = np.empty((d_lo, d_lo, d_hi, d_hi), complex)
     np.copyto(held, rho.reshape(d_hi, d_lo, d_hi, d_lo).transpose(1, 3, 2, 0))
@@ -187,8 +260,8 @@ def _kernel_plan(rho, weights, cfg, s=1.0):
             np.multiply(crz[:, None, None, :], crz.conj()[:, :, None],
                         order="C"),
             held.diagonal().diagonal().T,
-            *(transfer_views(held, d * d) if damping_probability(cfg.gamma)
-              else [] for d in (d_hi, d_lo)),
+            [transfer_views(held, d * d) if damping_probability(cfg.gamma)
+             else [] for d in (d_hi, d_lo)],
             povm_matrix(cfg.gamma, cfg.n_mem),
             np.square(s ** np.bitwise_count(np.arange(d_hi * d_lo))).reshape(
                 d_hi, d_lo))
@@ -196,22 +269,23 @@ def _kernel_plan(rho, weights, cfg, s=1.0):
 
 def _kernel_step(plan, gates, n_repeats, pending):
     """One step on the held state of ``plan``, without forming U: leaves
-    M rho_emb M held and returns the readout row of rho_emb.  Per repeat,
-    four one-call products each multiply the leading axis by a factor of
-    ``gates``, the step's :func:`_gate_pairs` (the first pair, then the
-    second), and write it last: rows by G_lo, columns by conj(G_lo),
-    columns by conj(G_hi), rows by G_hi; then the CRZ phase, diagonal like
-    M.  ``pending`` runs the previous step's T_hi, the hi qubits' damping
-    transfer, once the lo products are done and the hi axes lead: T_hi
-    commutes with them, and the folds are products over qubits.  The held
-    populations are divided by s^(2 popcount) before :func:`outcome_row`."""
-    held, moves, phase, diag, _, hi_views, povm, pops = plan
+    M rho_emb M held (the :func:`damping_frame`) and returns the readout row
+    of rho_emb.  Per repeat, four one-call products each multiply the
+    leading axis by a factor of ``gates``, the step's :func:`_gate_pairs`
+    (the first pair, then the second), and write it last: rows by G_lo,
+    columns by conj(G_lo), columns by conj(G_hi), rows by G_hi; then the
+    CRZ phase, diagonal like M.  ``pending`` runs the previous step's
+    transfer in two halves, each once its qubits' axes lead (lo before the
+    first product, hi after the lo ones), as it commutes with the other
+    half's products.  The populations are divided by s^(2 popcount) before
+    :func:`outcome_row`."""
+    held, moves, phase, diag, halves, povm, pops = plan
     for k in range(n_repeats):
         g_hi, g_lo = gates[:2] if k == 0 else gates[-2:]
         factors = (g_lo.T, g_lo.conj().T, g_hi.conj().T, g_hi.T)
         for i, ((x, y), h) in enumerate(zip(moves, factors)):
-            if i == 2 and k == 0 and pending:
-                damping_transfer(hi_views)
+            if i % 2 == 0 and k == 0 and pending:  # lo, then hi axes lead
+                damping_transfer(halves[i // 2])
             np.matmul(x, h, out=y)
         np.multiply(held, phase, out=held)
     return outcome_row(diag.real / pops, povm)
@@ -249,22 +323,14 @@ def _check_health(name, value, where, error=FloatingPointError):
 def run_exact(u, weights, cfg):
     """Feature matrix (T, 2**n_mem) of exact readout distributions.
 
-    The state is held in the frame M rho M, M = (x)_q diag(1, s), of the
-    :func:`swapqrn.channel.damping_frame` (s, c), where each qubit's damping
-    transfer is one add.  The :func:`_gate_pairs` stacks and the
-    :func:`_kernel_plan` are built before the step loop.  After each
-    :func:`_kernel_step` the lo qubits' transfer runs; the hi qubits' is
-    deferred into the next step.  Every repeat applies M R M^-1, the first
-    M R S M^-1 with the scaling S = (x)_q diag(1, A) and M^-1 folded into
-    c: the state stays framed throughout (M |0><0| M = |0><0|: exact from
-    the start).  Each factor is folded per 2x2 gate, where its rounding
-    varies with the rotations; rows of a (d, d) block times a fixed
-    fl(s^k) would round alike on every step, and the trace drifted by it.
-    The loop runs under a ``PASS_BUFFER``-entry ufunc buffer.  The state is
-    checked, not repaired: the trace drift |sum of row t - 1| every step
+    The state is held in the :func:`damping_frame`.  The :func:`_gate_pairs`
+    stacks and the :func:`_kernel_plan` are built before the step loop,
+    which runs under a ``PASS_BUFFER``-entry ufunc buffer; each
+    :func:`_kernel_step` also runs the previous step's damping.  The state
+    is checked, not repaired: the trace drift |sum of row t - 1| every step
     (the POVM columns sum to 1) and, with all else released, the
-    Hermiticity residual max|rho - rho^+| of the final state, taken off the
-    frame in place (the channel is trace-norm contractive, so the
+    Hermiticity residual max|rho - rho^+| of the final embedded state, taken
+    off the frame in place (the channel is trace-norm contractive, so the
     anti-Hermitian part cannot grow between checks); either past
     ``HEALTH_TOL`` raises ``FloatingPointError``.
     """
@@ -280,7 +346,6 @@ def run_exact(u, weights, cfg):
         np.setbufsize(PASS_BUFFER)
         for t, gates in enumerate(zip(*stacks)):
             features[t] = _kernel_step(plan, gates, cfg.n_repeats, t > 0)
-            damping_transfer(plan[4])  # the lo qubits' views
             _check_health("trace drift", abs(features[t].sum() - 1.0),
                           f"at step {t}")
     rho, d_lo = plan[0], len(plan[0])
@@ -369,11 +434,28 @@ def bitstring_labels(n_mem):
     return [format(i, f"0{n_mem}b") for i in range(2 ** n_mem)]
 
 
+@contextmanager
+def atomic_open(path):
+    """Write to a temp file beside ``path``; rename it over ``path`` once done.
+
+    If the write raises, the temp file is removed and ``path`` left as it was.
+    """
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", newline="") as handle:
+            yield handle
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def features_to_csv(path, features):
-    """Write a feature matrix as CSV with a 1-based ``t`` column."""
+    """Write a feature matrix as CSV with a 1-based ``t`` column, atomically."""
     features = np.asarray(features)
     n_mem = n_qubits_of(features.shape[1])
-    with open(path, "w", newline="") as handle:
+    with atomic_open(path) as handle:
         writer = csv.writer(handle)
         writer.writerow(["t"] + bitstring_labels(n_mem))
         for t, row in enumerate(features, start=1):

@@ -10,11 +10,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from swapqrn.channel import (collapse, collapse_tables, collapse_workspace,
-                             damping_frame, ground_state)
+                             ground_state)
 from swapqrn.embedding import (compute_angles, context_window, crz_ring_diagonal,
                                embedding_unitary, kron_layer, rotation_stack)
 from swapqrn.gates import (check_gamma, damping_probability, n_qubits_of,
                            swap_coefficients)
+from swapqrn.reservoir import damping_frame
 from swapqrn.tasks import esn_init, gen_uniform, score_narma_features
 
 

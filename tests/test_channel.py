@@ -6,9 +6,10 @@ from numpy.testing import assert_allclose
 from fractions import Fraction
 
 from swapqrn.channel import (
-    FRAME_TOL, damping_channel, damping_frame, outcome_distribution,
-    povm_matrix, purity, ground_state, rehermitize,
+    damping_channel, outcome_distribution, outcome_row, povm_matrix, purity,
+    ground_state, rehermitize,
 )
+from swapqrn.reservoir import FRAME_TOL, damping_frame
 from swapqrn.gates import damping_probability, swap_coefficients
 
 import oracles
@@ -172,6 +173,18 @@ class TestOutcomeDistribution:
             assert dist.min() >= 0.0
             assert abs(dist.sum() - 1.0) <= 1e-10
 
+    def test_outcome_row_refuses_negative_population(self):
+        """Below -1e-10 a population is an error, not rounding."""
+        pops = np.array([1.0 + 2e-10, -2e-10])
+        with pytest.raises(ValueError, match="negative population"):
+            outcome_row(pops, povm_matrix(0.5, 1))
+
+    def test_outcome_row_clips_rounding_to_zero(self):
+        """Between -1e-10 and 0 a population is read as 0."""
+        povm = povm_matrix(0.5, 1)
+        row = outcome_row(np.array([1.0, -5e-11]), povm)
+        assert np.array_equal(row, povm @ [1.0, 0.0])
+
     def test_zero_qubits(self):
         """A 1x1 state, which damping_channel and purity accept, has the one
         outcome of the empty bitstring."""
@@ -265,6 +278,21 @@ class TestDampingFrame:
     def test_no_frame_at_p_zero(self):
         a, _ = swap_coefficients(1e-9)
         assert damping_frame(1e-9) == (1.0, a)
+
+    @pytest.mark.parametrize("gamma", [0.9996, 0.99999, 1 - 1e-6])
+    def test_near_full_swap_keeps_s_c_on_a(self, gamma):
+        """Near gamma = 1 the c that zeroes the residual moves s c by
+        1.1e-13 to 1.3e-11 from A, so the search starts from A/s instead;
+        the residual then stays within 2^-53, the limit there (FRAME_TOL
+        may be out of reach)."""
+        s, c = damping_frame(gamma)
+        a, _ = swap_coefficients(gamma)
+        p = damping_probability(gamma)
+        residual = (Fraction(s) ** 2 * (1 + Fraction(c.real) ** 2
+                                        + Fraction(c.imag) ** 2) - 1)
+        assert abs(s * c - a) <= 2.0 ** -44
+        assert abs(s * s - p) <= 2.0 ** -46 * p
+        assert abs(residual) <= Fraction(2) ** -53
 
 
 class TestTrajectoryStep:

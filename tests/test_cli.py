@@ -42,7 +42,7 @@ def write_config(tmp_path, text, name="exp.ini"):
 class TestParseConfig:
 
     def test_stmc_defaults(self):
-        cfg = cli.parse_config(task="stmc")
+        cfg = cli.parse_config(flag_overrides={"task": "stmc"})
         assert cfg.reservoir.n_qubits == 16
         assert cfg.reservoir.gamma == 0.55
         assert cfg.reservoir.n_repeats == 1
@@ -54,7 +54,7 @@ class TestParseConfig:
         assert cfg.task_spec.seed == 42
 
     def test_narma_defaults(self):
-        cfg = cli.parse_config(task="narma5")
+        cfg = cli.parse_config(flag_overrides={"task": "narma5"})
         assert cfg.reservoir.n_qubits == 12
         assert cfg.reservoir.gamma == 0.75
         assert cfg.reservoir.n_repeats == 3
@@ -63,7 +63,7 @@ class TestParseConfig:
         assert cfg.task_spec.alpha == 1e-4
 
     def test_esn_defaults(self):
-        cfg = cli.parse_config(task="esn-baseline")
+        cfg = cli.parse_config(flag_overrides={"task": "esn-baseline"})
         assert cfg.n_esn_seeds == 200
         assert cfg.esn.n_nodes == cfg.reservoir.n_qubits // 2
         assert cfg.esn.spectral_radius == 0.9
@@ -83,8 +83,8 @@ class TestParseConfig:
     @pytest.mark.parametrize("task", cli.TASKS)
     def test_seed_and_alpha_flags_reach_task(self, task):
         """--seed sets both the weight seed and the data seed."""
-        cfg = cli.parse_config(task=task,
-                               flag_overrides={"seed": 7, "alpha": 0.25})
+        cfg = cli.parse_config(flag_overrides={"task": task, "seed": 7,
+                                               "alpha": 0.25})
         assert cfg.reservoir.seed == cfg.task_spec.seed == 7
         assert cfg.task_spec.alpha == 0.25
 
@@ -110,24 +110,24 @@ class TestParseConfig:
     def test_out_of_range_gamma_names_key(self, tmp_path):
         path = write_config(tmp_path, "[reservoir]\ngamma = 1.5\n")
         with pytest.raises(cli.ConfigError) as err:
-            cli.parse_config(task="stmc", config_path=path)
+            cli.parse_config(config_path=path, flag_overrides={"task": "stmc"})
         assert "reservoir" in str(err.value) and "gamma" in str(err.value)
 
     def test_unknown_key_names_path(self, tmp_path):
         path = write_config(tmp_path, "[reservoir]\nn_qbits = 4\n")
         with pytest.raises(cli.ConfigError) as err:
-            cli.parse_config(task="stmc", config_path=path)
+            cli.parse_config(config_path=path, flag_overrides={"task": "stmc"})
         assert "reservoir.n_qbits" in str(err.value)
 
     def test_unknown_section_rejected(self, tmp_path):
         path = write_config(tmp_path, "[plotting]\ncolor = red\n")
         with pytest.raises(cli.ConfigError) as err:
-            cli.parse_config(task="stmc", config_path=path)
+            cli.parse_config(config_path=path, flag_overrides={"task": "stmc"})
         assert "plotting" in str(err.value)
 
     def test_unknown_task_rejected(self):
         with pytest.raises(cli.ConfigError):
-            cli.parse_config(task="qasm")
+            cli.parse_config(flag_overrides={"task": "qasm"})
 
     def test_over_memory_reservoir_rejected(self, tmp_path, capsys):
         """parse_config checks values only; the run verb refuses the point
@@ -145,15 +145,15 @@ class TestParseConfig:
     def test_no_memory_check_at_parse(self, tmp_path):
         """A base value or grid value that no point runs is not checked."""
         path = write_config(tmp_path, "[sweep]\nn_qubits = 2, 48\n")
-        cfg = cli.parse_config(task="narma5", config_path=path,
-                               flag_overrides={"n_qubits": 48})
+        cfg = cli.parse_config(config_path=path, flag_overrides={
+            "task": "narma5", "n_qubits": 48})
         assert cfg.reservoir.n_qubits == 48
         assert cfg.sweep["n_qubits"] == (2, 48)
 
     def test_esn_grid_needs_no_quantum_state(self):
         """The ESN baseline's register sizes are node counts, never a state."""
-        cfg = cli.parse_config(task="esn-baseline",
-                               flag_overrides={"n_qubits_grid": "2,48"})
+        cfg = cli.parse_config(flag_overrides={"task": "esn-baseline",
+                                               "n_qubits_grid": "2,48"})
         assert cfg.sweep["n_qubits"] == (2, 48)
 
     @pytest.mark.parametrize("task, flags, section", [
@@ -190,20 +190,20 @@ class TestParseConfig:
 
     def test_output_root_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SWAPQRN_OUTPUT_ROOT", str(tmp_path))
-        cfg = cli.parse_config(task="stmc")
+        cfg = cli.parse_config(flag_overrides={"task": "stmc"})
         assert str(cfg.outdir).startswith(str(tmp_path))
 
     def test_absolute_outdir_ignores_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SWAPQRN_OUTPUT_ROOT", str(tmp_path / "root"))
-        cfg = cli.parse_config(task="stmc",
-                               flag_overrides={"outdir": str(tmp_path / "abs")})
+        cfg = cli.parse_config(flag_overrides={
+            "task": "stmc", "outdir": str(tmp_path / "abs")})
         assert str(cfg.outdir) == str(tmp_path / "abs")
 
 
 class TestSweepGrid:
 
     def test_default_stmc_grid_has_320_points(self):
-        cfg = cli.parse_config(task="stmc")
+        cfg = cli.parse_config(flag_overrides={"task": "stmc"})
         points = cli.sweep_points(cfg)
         assert len(points) == 320
         assert len({(p.n_qubits, p.gamma, p.n_repeats) for p in points}) == 320
@@ -222,7 +222,7 @@ class TestSweepGrid:
         assert len(points) == 4
 
     def test_esn_grid_varies_register_only(self):
-        cfg = cli.parse_config(task="esn-baseline")
+        cfg = cli.parse_config(flag_overrides={"task": "esn-baseline"})
         points = cli.sweep_points(cfg)
         assert sorted({p.n_qubits for p in points}) == [2, 4, 6, 8, 10, 12, 14, 16]
         assert len(points) == 8
@@ -298,7 +298,7 @@ class TestTaskTable:
     @pytest.mark.parametrize("task", list(PINS))
     def test_entry_decides(self, tmp_path, task):
         axes, rows, digest = self.PINS[task]
-        points = cli.sweep_points(cli.parse_config(task=task))
+        points = cli.sweep_points(cli.parse_config(flag_overrides={"task": task}))
         assert [(i, p.n_qubits, p.gamma, p.n_repeats)
                 for i, p in enumerate(points)] == [
             (i, *values) for i, values in enumerate(product(*axes))]
@@ -347,7 +347,7 @@ def manifest_hash_line(sections):
 def test_default_config_hash_pinned(tmp_path, task, digest):
     """The config_sha256 of each task's defaults is the one earlier versions
     wrote, so the payload's shape cannot change unnoticed."""
-    cli._write_manifest(tmp_path, cli.parse_config(task=task), [])
+    cli._write_manifest(tmp_path, cli.parse_config(flag_overrides={"task": task}), [])
     assert f"config_sha256 {digest}\n" in (tmp_path / "MANIFEST").read_text()
 
 
@@ -446,8 +446,8 @@ class TestRunVerb:
         outs = []
         for n_qubits in (np.int64(2), 2):
             out = tmp_path / type(n_qubits).__name__
-            cfg = cli.parse_config(task="narma5", flag_overrides={
-                "n_qubits": n_qubits, "outdir": str(out)})
+            cfg = cli.parse_config(flag_overrides={
+                "task": "narma5", "n_qubits": n_qubits, "outdir": str(out)})
             assert cli.cmd_run(cfg) == 0
             outs.append(out)
         for fname in ("results.csv", "MANIFEST"):
@@ -936,6 +936,19 @@ def test_failed_write_leaves_no_files(tmp_path):
     with pytest.raises(TypeError):
         cli._write_json(tmp_path / "records.json", {"a": object()})
     assert list(tmp_path.iterdir()) == []
+
+
+def test_import_loads_no_cli():
+    """The library writes its own files: importing the package in a fresh
+    interpreter loads neither its CLI nor argparse."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, swapqrn; "
+            "print(sorted({'swapqrn.cli', 'argparse'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_import_loads_no_scipy():

@@ -227,14 +227,15 @@ class TestFactoredKernel:
             rho = rehermitize(rho)
             assert np.max(np.abs(rows[t] - dist)) <= 1e-12
 
-    # p = 0 (no frame, no transfer), the smallest nonzero p and p = 1
-    @pytest.mark.parametrize("gamma", [1e-9, 1e-8, 1.0])
+    # p = 0 (no frame, no transfer), the smallest nonzero p, a frame
+    # searched from A/s (near gamma = 1) and p = 1
+    @pytest.mark.parametrize("gamma", [1e-9, 1e-8, 0.99999, 1.0])
     @pytest.mark.parametrize("n_repeats", [1, 2, 3])
     @pytest.mark.parametrize("n_mem", [1, 2, 3, 4, 5, 6, 7, 8])
     def test_frame_edges_match_dense_step(self, n_mem, n_repeats, gamma):
         """Where the frame is the identity, smallest (s = 2^-26, so
-        c ~ 2^26) or s = 1 with c ~ 0, the kernel stays on the dense
-        recursion."""
+        c ~ 2^26), searched from c = A/s, or s = 1 with c ~ 0, the kernel
+        stays on the dense recursion."""
         cfg = ReservoirConfig(n_qubits=2 * n_mem, gamma=gamma,
                               n_repeats=n_repeats, c=2, seed=n_mem)
         w = init_weights(cfg.seed, c=2, n_mem=n_mem)
@@ -663,6 +664,15 @@ class TestRunSampled:
         b = run_sampled(u, w, cfg, np.random.default_rng(99))
         assert_allclose(a, b, rtol=0, atol=0)
 
+    def test_requires_n_shots(self):
+        """An exact-backend config, which may leave n_shots unset, is refused
+        by both stochastic kernels before they draw."""
+        cfg = ReservoirConfig(n_qubits=2, gamma=0.5)
+        w = init_weights(1, c=1, n_mem=1)
+        for run in (run_sampled, run_trajectories):
+            with pytest.raises(ValueError, match="requires cfg.n_shots"):
+                run(np.zeros(3), w, cfg, np.random.default_rng(0))
+
     def test_rows_are_frequencies(self):
         w = init_weights(3, c=1, n_mem=2)
         cfg = ReservoirConfig(n_qubits=4, gamma=0.3, backend="sampled",
@@ -778,6 +788,31 @@ class TestFeatureSerialization:
         features_to_csv(path, np.zeros((0, 4)))
         assert path.read_text().splitlines() == ["t,00,01,10,11"]
         assert features_from_csv(path).shape == (0, 4)
+
+    def test_csv_bytes(self, tmp_path):
+        """CRLF rows, 17 significant digits, a 1-based t column."""
+        path = tmp_path / "features.csv"
+        features_to_csv(path, [[0.5, 0.0, 0.0, 0.5], [0.1, 0.2, 0.3, 0.4]])
+        assert path.read_bytes() == (
+            b"t,00,01,10,11\r\n1,0.5,0,0,0.5\r\n"
+            b"2,0.10000000000000001,0.20000000000000001,"
+            b"0.29999999999999999,0.40000000000000002\r\n")
+
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        """A write that raises on its third row leaves the previous file
+        byte for byte, and no temp file beside it."""
+        class Unwritable:
+            def __format__(self, spec):
+                raise OSError("no space left on device")
+
+        path = tmp_path / "features.csv"
+        features_to_csv(path, np.eye(4)[:2])
+        before = path.read_bytes()
+        rows = np.array([[0.5, 0, 0, 0], [Unwritable(), 0, 0, 0]], dtype=object)
+        with pytest.raises(OSError, match="no space"):
+            features_to_csv(path, rows)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["features.csv"]
 
     def test_csv_width_not_power_of_two_refused(self, tmp_path):
         path = tmp_path / "features.csv"
