@@ -232,6 +232,13 @@ def _check_reservoir(cfg, rc):
     return check_memory(rc, cfg.task_spec.n_total)
 
 
+def _check_esn(cfg, rc):
+    """The ESN baseline's checks, on the point's node count."""
+    esn = replace(cfg.esn, n_nodes=rc.n_mem)
+    check_esn_alpha(cfg.task_spec, esn)
+    return check_esn_memory(cfg.task_spec, esn, cfg.n_esn_seeds)
+
+
 _GRID = ["n_qubits", "n_repeats", "gamma"]
 
 
@@ -249,7 +256,7 @@ class Task:
     reservoir: dict       # reservoir defaults that differ from ReservoirConfig's
     grids: dict           # sweepable axis -> default grid (None: the base value)
     run: Callable         # (cfg, rc, rng) -> metrics of one point
-    check: Callable       # (cfg, rc): ValueError past physical memory
+    check: Callable       # (cfg, rc): ValueError if the point cannot run
     metrics: tuple        # (per-delay metric names, scalar metric names)
     figures: tuple        # (file, header, rows of a record and its metrics)
 
@@ -280,8 +287,7 @@ TASKS = {  # the first task is the default
         spec=NarmaSpec,
         schema={**_schema(NarmaSpec), **_ESN_SCHEMA, "n_esn_seeds": int},
         reservoir=_NARMA_RESERVOIR, grids={"n_qubits": _GRIDS["n_qubits"]},
-        run=_run_esn_point, check=lambda cfg, rc: check_esn_memory(
-            cfg.task_spec, replace(cfg.esn, n_nodes=rc.n_mem), cfg.n_esn_seeds),
+        run=_run_esn_point, check=_check_esn,
         metrics=((), ("median", "q1", "q3")),
         figures=(("fig_esn_comparison.csv", ["n_nodes", "median", "q1", "q3"],
                   lambda r, m: [[m["n_nodes"],
@@ -304,7 +310,7 @@ def _json_safe(value):
 
 def _check_points(cfg, points):
     """Refuse, before anything is written, any point that cannot fit in
-    physical memory."""
+    physical memory or, for the ESN, cannot be fitted."""
     for index, rc in enumerate(points):
         try:
             TASKS[cfg.task].check(cfg, rc)

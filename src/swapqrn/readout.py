@@ -1,6 +1,7 @@
 """Linear readout: ridge regression with an unpenalized intercept, plus the
 scoring metrics used by the benchmark tasks."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,28 +25,43 @@ class Metrics:
 def ridge_fit(x, y, alpha):
     """Fit ``y ~ x @ w + b`` minimizing ||y - xw - b||^2 + alpha ||w||^2.
 
-    The intercept is handled by centering and carries no penalty.  With
-    ``alpha == 0`` a rank-deficient design raises ``numpy.linalg.LinAlgError``
-    rather than silently returning one of many minimizers.
+    The intercept is handled by centering and carries no penalty.  The
+    smaller system is factored, in O(min(n, k)^2 max(n, k)) for n samples
+    and k columns: the k x k normal equations when n >= k, else the n x n
+    dual (xc xc^T + alpha I) a = yc with w = xc^T a, as for a short
+    series on the 256 readout columns of 16 qubits.  With ``alpha == 0`` a
+    rank-deficient design, such as any with n <= k once centred, raises
+    ``numpy.linalg.LinAlgError`` rather than silently returning one of many
+    minimizers.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
+    if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0] or not len(y):
         raise ValueError(
-            f"need x (n, k) and y (n,), got {x.shape} and {y.shape}")
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
+            f"need x (n, k) and y (n,) with n >= 1, got {x.shape} and {y.shape}")
+    if not 0.0 <= alpha < math.inf:
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("x and y must be finite")
+    n, k = x.shape
+    if alpha == 0 and n <= k:
+        raise np.linalg.LinAlgError(
+            f"{n} samples cannot fix {k} weights and an intercept at "
+            f"alpha = 0; increase alpha")
     x_mean = x.mean(axis=0)
     y_mean = y.mean()
     xc = x - x_mean
-    gram = xc.T @ xc + alpha * np.eye(x.shape[1])
+    dual = n < k
+    gram = (xc @ xc.T if dual else xc.T @ xc) + alpha * np.eye(min(n, k))
     try:
         chol = np.linalg.cholesky(gram)  # raises unless positive definite
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             "normal equations are singular or ill-conditioned; "
             "increase alpha") from exc
-    w = np.linalg.solve(chol.T, np.linalg.solve(chol, xc.T @ (y - y_mean)))
+    yc = y - y_mean
+    coef = np.linalg.solve(chol.T, np.linalg.solve(chol, yc if dual else xc.T @ yc))
+    w = xc.T @ coef if dual else coef
     return RidgeModel(w=w, b=float(y_mean - x_mean @ w), alpha=float(alpha))
 
 

@@ -291,12 +291,18 @@ def check_esn_memory(spec, cfg, n_seeds):
 
 
 def check_esn_alpha(spec, cfg):
-    """``ValueError`` unless ``spec.alpha > 0`` or ``cfg.spectral_radius
-    <= 1``: past the echo-state regime tanh saturates, and a node whose
-    state turns constant makes the unpenalised design singular."""
+    """``ValueError`` unless ``spec.alpha > 0`` or the unpenalised design is
+    regular: ``cfg.spectral_radius <= 1``, as past the echo-state regime
+    tanh saturates and a node whose state turns constant makes it singular,
+    and more training rows than nodes, as centring leaves n rows of rank at
+    most n - 1."""
     if spec.alpha == 0 and cfg.spectral_radius > 1:
         raise ValueError(f"alpha = 0 needs spectral_radius <= 1, "
                          f"got {cfg.spectral_radius}")
+    rows = spec.n_train - spec.n_washout
+    if spec.alpha == 0 and rows <= cfg.n_nodes:
+        raise ValueError(f"alpha = 0 needs n_train - n_washout > n_nodes = "
+                         f"{cfg.n_nodes}, got {rows}")
 
 
 def run_esn_narma(spec, cfg, n_seeds):

@@ -405,6 +405,18 @@ def ridge_oracle(x: np.ndarray, y: np.ndarray, alpha: float):
     return wb[:f], float(wb[f])
 
 
+def ridge_primal(x: np.ndarray, y: np.ndarray, alpha: float):
+    """The centred k x k normal equations, Cholesky-factored, then two
+    ``np.linalg.solve`` calls on the triangular factors: the formula every
+    fit with at least as many rows as columns must equal bit for bit."""
+    x_mean = x.mean(axis=0)
+    y_mean = y.mean()
+    xc = x - x_mean
+    chol = np.linalg.cholesky(xc.T @ xc + alpha * np.eye(x.shape[1]))
+    w = np.linalg.solve(chol.T, np.linalg.solve(chol, xc.T @ (y - y_mean)))
+    return w, float(y_mean - x_mean @ w)
+
+
 def narma5_oracle(z: np.ndarray) -> np.ndarray:
     """One-step-ahead NARMA-5 targets via padded arrays (no rolling history)."""
     n = len(z)

@@ -169,11 +169,12 @@ class TestParseConfig:
         ("narma5", [], "n_total = 45\nn_train = 40\nn_test = 10"),
         ("esn-baseline", [], "spectral_radius = 1.7e308"),
         ("esn-baseline", ["--alpha", "0"], "spectral_radius = 1.5"),
+        ("esn-baseline", ["--alpha", "0"], "n_train = 16\nn_washout = 15"),
     ], ids=["stmc-alpha-negative", "stmc-alpha-zero", "stmc-alpha-inf",
             "narma5-alpha-negative", "narma5-alpha-zero", "narma5-alpha-nan",
             "esn-spectral-radius-inf", "stmc-series-10", "stmc-series-55",
             "narma5-series-45", "esn-spectral-radius-overflow",
-            "esn-alpha-zero-radius-above-one"])
+            "esn-alpha-zero-radius-above-one", "esn-alpha-zero-rows-at-nodes"])
     def test_unrunnable_task_refused_before_writing(self, tmp_path, capsys,
                                                      task, flags, section):
         """A [task] value that must fail or give nan at run time exits 2
@@ -475,6 +476,22 @@ class TestSweepVerb:
         records = json.loads((out / "records.json").read_text())["records"]
         assert [(r["config"]["n_qubits"], r["status"]) for r in records] == [
             (2, "ok")]
+
+    def test_unfittable_esn_point_refused_before_writing(self, tmp_path,
+                                                         capsys):
+        """At alpha = 0 the base's 1 node fits on 3 training rows, the grid's
+        4 nodes do not: the sweep exits 2 naming that point, unwritten."""
+        path = write_config(tmp_path, "[task]\nn_train = 20\nn_washout = 17\n")
+        out = tmp_path / "out"
+        code = cli.main(["sweep", "--task", "esn-baseline", "--n-qubits", "2",
+                         "--n-qubits-grid", "2,8", "--alpha", "0",
+                         "--n-esn-seeds", "2", "--config", path,
+                         "--outdir", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: point 1 (8 qubits, ")
+        assert "n_train - n_washout > n_nodes = 4, got 3" in err
+        assert not out.exists()
 
     def test_rerun_outputs_byte_identical(self, tmp_path):
         path = write_config(

@@ -13,7 +13,8 @@ class TestRidgeFit:
 
     def test_matches_normal_equation_oracle(self):
         """Centered solver agrees with the explicit augmented normal equations,
-        up to the STMC readout's 256 collinear probability columns."""
+        up to the STMC readout's 256 collinear probability columns, on both
+        the primal (n >= k) and the dual (n < k) path."""
         rng = np.random.default_rng(0)
         cases = []
         for _ in range(200):
@@ -21,9 +22,20 @@ class TestRidgeFit:
             k = int(rng.integers(1, 7))
             cases.append((rng.normal(size=(n, k)), rng.normal(size=n),
                           float(10.0 ** rng.uniform(-8, 1))))
-        # 16 qubits: rows are readout distributions, which sum to 1
-        cases.append((rng.dirichlet(np.ones(256), size=700),
-                      rng.uniform(size=700), 1e-5))
+        # more columns than rows: below alpha = 1e-4 the oracle's own
+        # (k + 1)-square normal equations lose the digits (5.8e-7 off an
+        # lstsq solve at 1e-8, where ridge_fit is 8.7e-12 off)
+        for _ in range(200):
+            n = int(rng.integers(8, 40))
+            k = int(rng.integers(n + 1, 65))
+            cases.append((rng.normal(size=(n, k)), rng.normal(size=n),
+                          float(10.0 ** rng.uniform(-4, 1))))
+        # 16 qubits: rows are readout distributions, which sum to 1; the
+        # paper's 700 training rows, and the benchmark's stmc16 and
+        # narma12-sweep training blocks
+        for n, k, alpha in ((700, 256, 1e-5), (100, 256, 1e-5), (49, 64, 1e-4)):
+            cases.append((rng.dirichlet(np.ones(k), size=n),
+                          rng.uniform(size=n), alpha))
         for x, y, alpha in cases:
             model = ridge_fit(x, y, alpha)
             w_ref, b_ref = oracles.ridge_oracle(x, y, alpha)
@@ -69,18 +81,62 @@ class TestRidgeFit:
             db = rng.normal() * 1e-3
             assert loss(model.w + dw, model.b + db) >= base - 1e-12
 
+    def test_primal_path_keeps_its_bits(self):
+        """With at least as many rows as columns the k x k normal equations
+        are solved exactly as before the dual path existed, so paper-scale
+        fits (700 x 256) and the ESN's keep their bits."""
+        rng = np.random.default_rng(7)
+        cases = [(rng.dirichlet(np.ones(256), size=700),
+                  rng.uniform(size=700), 1e-5),
+                 (rng.dirichlet(np.ones(64), size=64), rng.uniform(size=64),
+                  1e-4),
+                 (np.tanh(rng.normal(size=(735, 8))), rng.uniform(size=735),
+                  0.0)]
+        for _ in range(50):
+            k = int(rng.integers(1, 30))
+            n = int(rng.integers(k, 60))
+            cases.append((rng.normal(size=(n, k)), rng.normal(size=n),
+                          float(10.0 ** rng.uniform(-6, 1))))
+        for x, y, alpha in cases:
+            model = ridge_fit(x, y, alpha)
+            w_ref, b_ref = oracles.ridge_primal(x, y, alpha)
+            assert np.array_equal(model.w, w_ref)
+            assert model.b == b_ref
+
     def test_singular_unregularized_raises(self):
-        x = np.ones((10, 3))  # rank 0 after centering
-        y = np.arange(10.0)
-        with pytest.raises(np.linalg.LinAlgError):
-            ridge_fit(x, y, alpha=0.0)
-        ridge_fit(x, y, alpha=1e-6)  # regularized version is fine
+        """At alpha = 0 a rank-deficient design raises: a constant one, and
+        a square and random wide ones, which factor without complaint but
+        have rank at most n - 1 < k once centred, so are refused by count.
+        Regularized, each fits, as does one row more than columns at 0."""
+        rng = np.random.default_rng(0)
+        designs = [np.ones((10, 3)), rng.normal(size=(3, 3))]
+        for _ in range(100):
+            n = int(rng.integers(2, 30))
+            designs.append(rng.normal(size=(n, int(rng.integers(n, 60)))))
+        for x in designs:
+            y = rng.normal(size=len(x))
+            with pytest.raises(np.linalg.LinAlgError):
+                ridge_fit(x, y, alpha=0.0)
+            ridge_fit(x, y, alpha=1e-6)  # regularized version is fine
+        ridge_fit(rng.normal(size=(4, 3)), rng.normal(size=4), alpha=0.0)
 
     def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            ridge_fit(np.zeros((5, 2)), np.zeros(4), 1.0)
-        with pytest.raises(ValueError):
-            ridge_fit(np.zeros((5, 2)), np.zeros(5), -1.0)
+        """Input that has no fit is refused, not turned into nan or 0: a
+        length mismatch, a negative, nan or infinite alpha, a non-finite x
+        or y, and an empty design."""
+        good_x, good_y = np.eye(5, 2), np.arange(5.0)
+        cases = [(np.zeros((5, 2)), np.zeros(4), 1.0),
+                 (np.zeros((5, 2)), np.zeros(5), -1.0),
+                 (good_x, good_y, np.nan),
+                 (good_x, good_y, np.inf),
+                 (np.where(good_x, np.nan, 1.0), good_y, 1.0),
+                 (good_x, np.where(good_y == 3, np.nan, good_y), 1.0),
+                 (good_x, np.where(good_y == 3, np.inf, good_y), 1.0),
+                 (np.zeros((0, 2)), np.zeros(0), 1.0)]
+        for x, y, alpha in cases:
+            with pytest.raises(ValueError):
+                ridge_fit(x, y, alpha)
+        ridge_fit(good_x, good_y, 1.0)
 
 
 class TestMetrics:

@@ -350,6 +350,20 @@ class TestRunEsnNarma:
             run_esn_narma(spec, EsnConfig(n_nodes=2, spectral_radius=10, seed=9), 2)
         assert drawn == []
 
+    def test_zero_alpha_needs_more_rows_than_nodes(self, monkeypatch):
+        """At alpha = 0, n_train - n_washout = 8 centred rows have rank at
+        most 7, too few for 8 nodes: refused before any seed is drawn.
+        One row more passes the check."""
+        drawn = []
+        monkeypatch.setattr(tasks, "esn_init",
+                            lambda cfg, rng: drawn.append(rng))
+        spec = NarmaSpec(alpha=0.0, n_total=60, n_train=12, n_test=10,
+                         n_washout=4)
+        with pytest.raises(ValueError, match="n_train - n_washout > n_nodes"):
+            run_esn_narma(spec, EsnConfig(n_nodes=8), 2)
+        assert drawn == []
+        tasks.check_esn_alpha(spec, EsnConfig(n_nodes=7))
+
     def test_zero_seeds_rejected(self):
         with pytest.raises(ValueError, match="n_seeds must be >= 1, got 0"):
             run_esn_narma(NarmaSpec(), EsnConfig(n_nodes=4), n_seeds=0)
