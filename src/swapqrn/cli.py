@@ -37,7 +37,8 @@ from typing import get_args, get_origin
 import numpy as np
 
 from . import __version__
-from .reservoir import BACKENDS, ReservoirConfig, atomic_open, check_memory
+from .reservoir import (BACKENDS, ReservoirConfig, atomic_open, check_count,
+                        check_memory)
 from .tasks import (
     StmcSpec, NarmaSpec, EsnConfig, check_esn_alpha, check_esn_memory,
     run_stmc, run_narma, run_esn_narma,
@@ -62,6 +63,17 @@ _ESN_SCHEMA = _schema(EsnConfig, skip=("n_nodes", "seed"))
 _SWEEP_SCHEMA = {axis: tuple[_RESERVOIR_SCHEMA[axis], ...]
                  for axis in ("gamma", "n_qubits", "n_repeats")}
 _EXPERIMENT_SCHEMA = {"task": str, "outdir": str}
+# the [reservoir] and [task] keys that flags set, in --help order, with help
+_FLAGS = {**dict.fromkeys((*_RESERVOIR_SCHEMA, "alpha", "n_esn_seeds")),
+          "c": "input context window length",
+          "seed": "sets both the weight seed and the data seed",
+          "backend": f"one of {', '.join(BACKENDS)}",
+          "alpha": "ridge regularization"}
+
+
+def _flag(key):
+    """The command-line spelling of the flag that sets ``key``."""
+    return "--context" if key == "c" else f"--{key.replace('_', '-')}"
 
 
 class ConfigError(ValueError):
@@ -80,13 +92,15 @@ class ExperimentConfig:
 
 
 def _coerce(raw, kind, path):
-    """Parse one INI value as ``kind``: a scalar type, ``T | None`` (read as
-    ``T``), or ``tuple[T, ...]`` (a comma-separated list)."""
+    """Parse INI value or flag ``path`` as ``kind``: a type, ``T | None`` (as ``T``)
+    or ``tuple[T, ...]`` (a comma-separated list); a non-string passes unchanged."""
+    if not isinstance(raw, str):
+        return raw
     item = next((a for a in get_args(kind) if a is not type(None)), kind)
     try:
         if get_origin(kind) is not tuple:
             return item(raw)
-        items = [x.strip() for x in str(raw).split(",") if x.strip()]
+        items = [x.strip() for x in raw.split(",") if x.strip()]
         if not items:
             raise ValueError("empty list")
         return tuple(item(x) for x in items)
@@ -122,7 +136,7 @@ def _section_values(parser, section, schema):
 def parse_config(config_path=None, flag_overrides=None):
     """Merge defaults, config-file sections, and flag overrides into a
     validated :class:`ExperimentConfig`.  Flags win over file values.  Only
-    values are checked here; each verb checks memory for the points it runs."""
+    values are checked here; each verb checks the points it runs."""
     flags = dict(flag_overrides or {})
     parser = _read_sections(config_path) if config_path else None
 
@@ -140,11 +154,12 @@ def parse_config(config_path=None, flag_overrides=None):
 
     for values, schema in ((reservoir_values, _RESERVOIR_SCHEMA),
                            (task_values, entry.schema)):
-        values.update((k, flags[k]) for k in schema if flags.get(k) is not None)
+        values.update((k, _coerce(flags[k], schema[k], _flag(k)))
+                      for k in schema if flags.get(k) is not None)
     foreign = [k for other in TASKS.values() for k in other.schema
                if k not in entry.schema and flags.get(k) is not None]
     if foreign:
-        raise ConfigError(f"--{foreign[0].replace('_', '-')} does not apply to {task}")
+        raise ConfigError(f"{_flag(foreign[0])} does not apply to {task}")
 
     try:
         reservoir = ReservoirConfig(**reservoir_values)
@@ -152,17 +167,14 @@ def parse_config(config_path=None, flag_overrides=None):
         raise ConfigError(f"config error in [reservoir]: {exc}") from exc
 
     n_esn_seeds = task_values.pop("n_esn_seeds", 200)
-    if n_esn_seeds < 1:
-        raise ConfigError(f"task.n_esn_seeds must be >= 1, got {n_esn_seeds}")
+    check_count("task.n_esn_seeds", n_esn_seeds, error=ConfigError)
     esn_kwargs = {k: task_values.pop(k) for k in _ESN_SCHEMA if k in task_values}
     try:
         task_spec = entry.spec(**task_values)
         # a task whose [task] section configures an ESN runs one per point
         esn = (EsnConfig(n_nodes=reservoir.n_mem, seed=task_spec.seed, **esn_kwargs)
                if _ESN_SCHEMA.keys() <= entry.schema.keys() else None)
-        if esn is not None:
-            check_esn_alpha(task_spec, esn)
-        elif task_spec.alpha == 0:  # quantum rows sum to 1
+        if esn is None and task_spec.alpha == 0:  # quantum rows sum to 1
             raise ValueError(f"alpha must be > 0 for {task}, got 0.0")
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config error in [task]: {exc}") from exc
@@ -457,8 +469,7 @@ def cmd_run(cfg):
 
 
 def cmd_sweep(cfg, workers):
-    if workers < 1:
-        raise ConfigError(f"--workers must be >= 1, got {workers}")
+    check_count("--workers", workers, error=ConfigError)
     cpus = os.cpu_count() or 1
     if workers > cpus:
         print(f"note: --workers {workers} capped at os.cpu_count() = {cpus}",
@@ -548,17 +559,8 @@ def build_parser():
     shared.add_argument("--config", help="INI config file")
     shared.add_argument("--task", choices=TASKS)
     shared.add_argument("--outdir")
-    shared.add_argument("--n-qubits", type=int, dest="n_qubits")
-    shared.add_argument("--gamma", type=float)
-    shared.add_argument("--n-repeats", type=int, dest="n_repeats")
-    shared.add_argument("--n-shots", type=int, dest="n_shots")
-    shared.add_argument("--context", type=int, dest="c",
-                        help="input context window length")
-    shared.add_argument("--alpha", type=float, help="ridge regularization")
-    shared.add_argument("--seed", type=int,
-                        help="sets both the weight seed and the data seed")
-    shared.add_argument("--backend", choices=BACKENDS)
-    shared.add_argument("--n-esn-seeds", type=int, dest="n_esn_seeds")
+    for key, text in _FLAGS.items():
+        shared.add_argument(_flag(key), dest=key, help=text)
 
     parser = argparse.ArgumentParser(
         prog="swapqrn",
@@ -569,8 +571,8 @@ def build_parser():
     sweep = sub.add_parser("sweep", parents=[shared],
                            help="execute a parameter grid")
     for axis in _SWEEP_SCHEMA:
-        sweep.add_argument(f"--{axis.replace('_', '-')}-grid",
-                           dest=f"{axis}_grid", help="comma-separated list")
+        sweep.add_argument(_flag(f"{axis}_grid"), dest=f"{axis}_grid",
+                           help="comma-separated list")
     sweep.add_argument("--workers", type=int, default=1)
     plot = sub.add_parser("plotdata", help="emit per-figure CSVs from records")
     plot.add_argument("--records", nargs="+", required=True)

@@ -46,11 +46,18 @@ def check_seed(seed):
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
-def check_integer(name, value):
-    """``value``, named ``name`` in the error, must be an integer; a bool
-    is not one."""
+def check_integer(name, value, error=ValueError):
+    """``value``, named ``name`` in the ``error`` raised, must be an integer;
+    a bool is not one."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise error(f"{name} must be an integer, got {value!r}")
+
+
+def check_count(name, value, least=1, error=ValueError):
+    """As :func:`check_integer`, and ``value`` must be >= ``least``."""
+    check_integer(name, value, error)
+    if value < least:
+        raise error(f"{name} must be >= {least}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -71,23 +78,18 @@ class ReservoirConfig:
     backend: str = "exact"
 
     def __post_init__(self):
-        for name in ("n_qubits", "n_repeats", "c", "n_shots"):
-            if getattr(self, name) is not None or name != "n_shots":
-                check_integer(name, getattr(self, name))
-        if self.n_qubits < 2 or self.n_qubits % 2 != 0:
-            raise ValueError(
-                f"n_qubits must be an even integer >= 2, got {self.n_qubits}")
+        check_count("n_qubits", self.n_qubits, least=2)
+        if self.n_qubits % 2 != 0:
+            raise ValueError(f"n_qubits must be even, got {self.n_qubits}")
         check_gamma(self.gamma)
-        if self.n_repeats < 1:
-            raise ValueError(f"n_repeats must be >= 1, got {self.n_repeats}")
-        if self.c < 1:
-            raise ValueError(f"context length c must be >= 1, got {self.c}")
+        check_count("n_repeats", self.n_repeats)
+        check_count("c", self.c)
+        if self.n_shots is not None:
+            check_count("n_shots", self.n_shots)
         check_seed(self.seed)
         if self.backend not in BACKENDS:
             raise ValueError(
                 f"backend must be one of {BACKENDS}, got {self.backend!r}")
-        if self.n_shots is not None and self.n_shots < 1:
-            raise ValueError(f"n_shots must be >= 1, got {self.n_shots}")
         if self.backend != "exact" and self.n_shots is None:
             raise ValueError(f"backend {self.backend!r} requires n_shots")
 

@@ -16,13 +16,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedding import init_weights
-from .reservoir import (check_integer, check_physical_memory, check_seed,
-                        run_features)
+from .reservoir import (check_count, check_integer, check_physical_memory,
+                        check_seed, run_features)
 from .readout import (
     SHORT_DELAYS, Metrics, ridge_fit, predict, r_squared, rmse, mean_rmse_short,
 )
 
-COUNTS = ("n_total", "n_train", "n_test", "n_washout")  # integer spec fields
+COUNTS = {"n_total": 1, "n_train": 1, "n_test": 1, "n_washout": 0}  # least values
+
+
+def _check_counts(spec):
+    """A task spec's counts, each at least its value in COUNTS, and its seed."""
+    for name, least in COUNTS.items():
+        check_count(name, getattr(spec, name), least)
+    check_seed(spec.seed)
 
 
 @dataclass(frozen=True)
@@ -38,15 +45,11 @@ class StmcSpec:
     delays: tuple[int, ...] = tuple(range(0, -11, -1))
 
     def __post_init__(self):
-        for name in COUNTS:
-            check_integer(name, getattr(self, name))
+        _check_counts(self)
         for tau in self.delays:
             check_integer("delays", tau)
         if any(tau > 0 for tau in self.delays):
             raise ValueError("delays must be <= 0")
-        if min(self.n_total, self.n_train, self.n_test) < 1 or self.n_washout < 0:
-            raise ValueError("counts must be positive (washout may be 0)")
-        check_seed(self.seed)
         # every quantum feature row sums to 1, so without a ridge term the
         # centred design is singular
         if not 0.0 < self.alpha < math.inf:
@@ -76,11 +79,7 @@ class NarmaSpec:
     seed: int = 42
 
     def __post_init__(self):
-        for name in COUNTS:
-            check_integer(name, getattr(self, name))
-        if min(self.n_total, self.n_train, self.n_test) < 1 or self.n_washout < 0:
-            raise ValueError("counts must be positive (washout may be 0)")
-        check_seed(self.seed)
+        _check_counts(self)
         if self.n_washout >= self.n_train:
             raise ValueError("washout must leave training samples")
         # 0 stays legal: the ESN baseline's tanh states are not singular
@@ -109,9 +108,7 @@ class EsnConfig:
     seed: int = 42
 
     def __post_init__(self):
-        check_integer("n_nodes", self.n_nodes)
-        if self.n_nodes < 1:
-            raise ValueError(f"n_nodes must be >= 1, got {self.n_nodes}")
+        check_count("n_nodes", self.n_nodes)
         if not 1 / ESN_RANGE <= self.leak_rate <= 1.0:
             raise ValueError(f"leak_rate must be in [{1 / ESN_RANGE:g}, 1], "
                              f"got {self.leak_rate}")
@@ -310,9 +307,7 @@ def run_esn_narma(spec, cfg, n_seeds):
     one recursion; seed k draws from ``default_rng([cfg.seed, k])``.  The
     states and the weights, as drawn and as stacked, must fit in memory,
     and the fit must pass :func:`check_esn_alpha`."""
-    check_integer("n_seeds", n_seeds)
-    if n_seeds < 1:
-        raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
+    check_count("n_seeds", n_seeds)
     check_esn_alpha(spec, cfg)
     check_esn_memory(spec, cfg, n_seeds)
     z = gen_uniform(spec.seed, spec.n_total, 0.0, 0.5)

@@ -168,13 +168,10 @@ class TestParseConfig:
         ("stmc", [], "n_total = 55\nn_train = 30\nn_test = 10"),
         ("narma5", [], "n_total = 45\nn_train = 40\nn_test = 10"),
         ("esn-baseline", [], "spectral_radius = 1.7e308"),
-        ("esn-baseline", ["--alpha", "0"], "spectral_radius = 1.5"),
-        ("esn-baseline", ["--alpha", "0"], "n_train = 16\nn_washout = 15"),
     ], ids=["stmc-alpha-negative", "stmc-alpha-zero", "stmc-alpha-inf",
             "narma5-alpha-negative", "narma5-alpha-zero", "narma5-alpha-nan",
             "esn-spectral-radius-inf", "stmc-series-10", "stmc-series-55",
-            "narma5-series-45", "esn-spectral-radius-overflow",
-            "esn-alpha-zero-radius-above-one", "esn-alpha-zero-rows-at-nodes"])
+            "narma5-series-45", "esn-spectral-radius-overflow"])
     def test_unrunnable_task_refused_before_writing(self, tmp_path, capsys,
                                                      task, flags, section):
         """A [task] value that must fail or give nan at run time exits 2
@@ -188,6 +185,65 @@ class TestParseConfig:
         assert err.startswith("config error: config error in [task]: ")
         assert err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("section, rule", [
+        ("spectral_radius = 1.5", "alpha = 0 needs spectral_radius <= 1, got 1.5"),
+        ("n_train = 16\nn_washout = 15",
+         "alpha = 0 needs n_train - n_washout > n_nodes = 1, got 1"),
+    ], ids=["esn-alpha-zero-radius-above-one", "esn-alpha-zero-rows-at-nodes"])
+    def test_esn_rule_checked_per_point(self, tmp_path, capsys, section, rule):
+        """An ESN rule at alpha = 0 is checked for the point that runs, with
+        its node count: exit 2, one line naming the point, nothing written."""
+        path = write_config(tmp_path, f"[task]\n{section}\n")
+        out = tmp_path / "out"
+        code = cli.main(["run", "--task", "esn-baseline", "--n-qubits", "2",
+                         "--config", path, "--outdir", str(out), "--alpha", "0"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"config error: point 0 (2 qubits, gamma=0.75, n_repeats=3): {rule}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, flag, value, reason", [
+        (["--n-qubits", "abc"], "--n-qubits", "abc",
+         "invalid literal for int() with base 10: 'abc'"),
+        (["--context", "x"], "--context", "x",
+         "invalid literal for int() with base 10: 'x'"),
+        (["--gamma=half"], "--gamma", "half",
+         "could not convert string to float: 'half'"),
+        (["--task", "esn-baseline", "--n-esn-seeds", "2.5"], "--n-esn-seeds",
+         "2.5", "invalid literal for int() with base 10: '2.5'"),
+    ], ids=["n-qubits", "context", "gamma", "n-esn-seeds"])
+    def test_bad_flag_value_names_flag(self, tmp_path, capsys, argv, flag,
+                                       value, reason):
+        """A flag is read through its key's schema: a value that does not
+        parse exits 2 with one line naming the flag as typed, nothing
+        written."""
+        out = tmp_path / "out"
+        assert cli.main(["run", *argv, "--outdir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: invalid value for {flag}: {value!r} ({reason})\n")
+        assert not out.exists()
+
+    def test_flag_surface(self):
+        """run and sweep offer exactly these flags; every flag that sets a
+        config value sets a schema key and is read as a string."""
+        verbs = next(action.choices for action in cli.build_parser()._actions
+                     if action.dest == "verb")
+        shared = ["--config", "--task", "--outdir", "--n-qubits", "--gamma",
+                  "--n-repeats", "--context", "--n-shots", "--seed",
+                  "--backend", "--alpha", "--n-esn-seeds"]
+        extra = {"run": [], "sweep": ["--gamma-grid", "--n-qubits-grid",
+                                      "--n-repeats-grid", "--workers"]}
+        keys = set(cli._RESERVOIR_SCHEMA).union(
+            *(task.schema for task in cli.TASKS.values()))
+        for verb, tail in extra.items():
+            actions = [a for a in verbs[verb]._actions if a.dest != "help"]
+            assert [a.option_strings for a in actions] == [
+                [flag] for flag in shared + tail]
+            # after --config, --task and --outdir, up to the sweep flags
+            for action in actions[3:len(shared)]:
+                assert action.dest in keys, action.dest
+                assert action.type is None and action.choices is None
 
     def test_output_root_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SWAPQRN_OUTPUT_ROOT", str(tmp_path))
@@ -476,6 +532,19 @@ class TestSweepVerb:
         records = json.loads((out / "records.json").read_text())["records"]
         assert [(r["config"]["n_qubits"], r["status"]) for r in records] == [
             (2, "ok")]
+
+    def test_base_value_outside_grid_not_fit_checked(self, tmp_path):
+        """At alpha = 0 the grid's one 2-qubit point fits its 1 node on 3
+        training rows; the base's 4 nodes, which no point uses, would not."""
+        path = write_config(tmp_path, "[task]\nn_train = 20\nn_washout = 17\n")
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--task", "esn-baseline", "--n-qubits", "8",
+                         "--n-qubits-grid", "2", "--alpha", "0",
+                         "--n-esn-seeds", "2", "--config", path,
+                         "--outdir", str(out)]) == 0
+        records = json.loads((out / "records.json").read_text())["records"]
+        assert [(r["config"]["n_nodes"], r["status"]) for r in records] == [
+            (1, "ok")]
 
     def test_unfittable_esn_point_refused_before_writing(self, tmp_path,
                                                          capsys):

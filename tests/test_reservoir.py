@@ -84,6 +84,25 @@ class TestReservoirConfig:
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
             make(**{name: value})
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: NarmaSpec(n_train=0), "n_train must be >= 1, got 0"),
+        (lambda: StmcSpec(n_washout=-1), "n_washout must be >= 0, got -1"),
+        (lambda: EsnConfig(n_nodes=0), "n_nodes must be >= 1, got 0"),
+        (lambda: ReservoirConfig(n_qubits=0, gamma=0.5),
+         "n_qubits must be >= 2, got 0"),
+        (lambda: ReservoirConfig(n_qubits=3, gamma=0.5),
+         "n_qubits must be even, got 3"),
+        (lambda: ReservoirConfig(n_qubits=4, gamma=0.5, n_shots=0),
+         "n_shots must be >= 1, got 0"),
+    ], ids=["narma-n-train", "stmc-n-washout", "esn-n-nodes",
+            "n-qubits-below-two", "n-qubits-odd", "n-shots"])
+    def test_count_out_of_range_names_field(self, make, message):
+        """A count below its least value, or an odd register, is refused
+        with an error that names its field."""
+        with pytest.raises(ValueError) as err:
+            make()
+        assert str(err.value) == message
+
     def test_numpy_integer_sizes_accepted(self):
         cfg = ReservoirConfig(n_qubits=np.int64(4), gamma=0.5,
                               n_repeats=np.int32(2), c=np.uint8(3),
