@@ -28,7 +28,6 @@ import os
 import sys
 import time
 from collections.abc import Callable
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, asdict, fields, replace
 from itertools import product
 from pathlib import Path
@@ -37,6 +36,7 @@ from typing import get_args, get_origin
 import numpy as np
 
 from . import __version__
+from .readout import SCORING_THREADS, blas_thread_count, set_blas_threads
 from .reservoir import (BACKENDS, ReservoirConfig, atomic_open, check_count,
                         check_memory)
 from .tasks import (
@@ -141,10 +141,12 @@ def parse_config(config_path=None, flag_overrides=None):
     parser = _read_sections(config_path) if config_path else None
 
     experiment = _section_values(parser, "experiment", _EXPERIMENT_SCHEMA)
-    task = flags.pop("task", None) or experiment.get("task", next(iter(TASKS)))
+    task, path = flags.pop("task", None), "--task"
+    if task is None:
+        task, path = experiment.get("task", next(iter(TASKS))), "experiment.task"
     if task not in TASKS:
-        raise ConfigError(
-            f"experiment.task must be one of {tuple(TASKS)}, got {task!r}")
+        raise ConfigError(f"invalid value for {path}: {task!r} "
+                          f"(expected one of {', '.join(TASKS)})")
     entry = TASKS[task]
 
     reservoir_values = dict(entry.reservoir)
@@ -182,7 +184,8 @@ def parse_config(config_path=None, flag_overrides=None):
     # each grid value must make a valid config with the base reservoir
     for axis, kind in _SWEEP_SCHEMA.items():
         if flags.get(f"{axis}_grid") is not None:
-            sweep[axis] = _coerce(flags[f"{axis}_grid"], kind, f"sweep.{axis}")
+            sweep[axis] = _coerce(flags[f"{axis}_grid"], kind,
+                                  _flag(f"{axis}_grid"))
         if axis in sweep and axis not in entry.grids:
             raise ConfigError(f"sweep.{axis}: the {task} task sweeps "
                               f"{', '.join(entry.grids)} only; drop the {axis} grid")
@@ -432,10 +435,14 @@ def _environment():
     them, never the files that must rerun byte-identical.
     """
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    threads = blas_thread_count()
     return {"numpy": np.__version__,
             "blas": {"name": blas["name"], "version": blas["version"]},
             "threads": {k: v for k, v in sorted(os.environ.items())
                         if k.endswith("_NUM_THREADS")},
+            # what ridge scoring ran at, and this process's own count
+            "blas_threads": "unpinned" if threads is None else {
+                "scoring": SCORING_THREADS, "process": threads},
             "cpu_count": os.cpu_count()}
 
 
@@ -469,6 +476,7 @@ def cmd_run(cfg):
 
 
 def cmd_sweep(cfg, workers):
+    workers = _coerce(workers, int, "--workers")
     check_count("--workers", workers, error=ConfigError)
     cpus = os.cpu_count() or 1
     if workers > cpus:
@@ -487,11 +495,18 @@ def cmd_sweep(cfg, workers):
         records.append(record)
 
     if workers > 1:
+        # imported here, so that a serial sweep never loads multiprocessing
+        from concurrent.futures import (BrokenExecutor, ProcessPoolExecutor,
+                                        as_completed)
         # longest first (an estimate of each point's work), so that no long
         # point starts last; records are merged by index, not by finish
         longest = sorted(enumerate(points), reverse=True, key=lambda p: (
             4 ** p[1].n_mem * p[1].n_repeats * cfg.task_spec.n_total))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # each worker runs its points at one BLAS thread: workers that
+        # inherit the host's threads oversubscribe the cores
+        with ProcessPoolExecutor(max_workers=workers,
+                                 initializer=set_blas_threads,
+                                 initargs=(1,)) as pool:
             futures = {pool.submit(_execute_point, cfg, *p): p for p in longest}
             for future in as_completed(futures):
                 try:
@@ -557,7 +572,7 @@ def cmd_plotdata(records_paths, outdir):
 def build_parser():
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", help="INI config file")
-    shared.add_argument("--task", choices=TASKS)
+    shared.add_argument("--task", help=f"one of {', '.join(TASKS)}")
     shared.add_argument("--outdir")
     for key, text in _FLAGS.items():
         shared.add_argument(_flag(key), dest=key, help=text)
@@ -573,7 +588,7 @@ def build_parser():
     for axis in _SWEEP_SCHEMA:
         sweep.add_argument(_flag(f"{axis}_grid"), dest=f"{axis}_grid",
                            help="comma-separated list")
-    sweep.add_argument("--workers", type=int, default=1)
+    sweep.add_argument("--workers", default=1)
     plot = sub.add_parser("plotdata", help="emit per-figure CSVs from records")
     plot.add_argument("--records", nargs="+", required=True)
     plot.add_argument("--outdir")

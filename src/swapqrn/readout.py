@@ -1,12 +1,69 @@
 """Linear readout: ridge regression with an unpenalized intercept, plus the
-scoring metrics used by the benchmark tasks."""
+scoring metrics used by the benchmark tasks, and the BLAS thread count that
+scoring runs at."""
 
+import ctypes
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
 SHORT_DELAYS = tuple(range(0, -5, -1))
+# the BLAS threads every ridge score runs at: the last bits of a fit depend
+# on the count, so a score must not depend on the host's default
+SCORING_THREADS = 1
+
+
+@lru_cache(maxsize=None)
+def _openblas():
+    """The (set, get) thread-count functions of the OpenBLAS that numpy's
+    build config names, in the libraries bundled with numpy; None where
+    there is none."""
+    try:
+        name = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (KeyError, TypeError):
+        return None
+    name = name.replace("-", "_")  # scipy-openblas: scipy_openblas_*64_
+    package = Path(np.__file__).parent
+    for path in sorted([*package.parent.glob(f"numpy.libs/lib{name}*"),
+                        *package.glob(f".dylibs/lib{name}*")]):
+        lib = ctypes.CDLL(str(path))  # the copy numpy has already loaded
+        for suffix in ("64_", ""):
+            pair = [getattr(lib, f"{name}_{verb}_num_threads{suffix}", None)
+                    for verb in ("set", "get")]
+            if all(pair):
+                return pair
+    return None
+
+
+def blas_thread_count():
+    """This process's BLAS thread count, or None where no getter is found."""
+    blas = _openblas()
+    return None if blas is None else blas[1]()
+
+
+def set_blas_threads(n):
+    """Set this process's BLAS thread count to ``n`` and return the count it
+    had; where no setter is found, change nothing and return None."""
+    before = blas_thread_count()
+    if before is not None:
+        _openblas()[0](n)
+    return before
+
+
+@contextmanager
+def blas_threads(n):
+    """Run the body at ``n`` BLAS threads, then restore the count; where no
+    setter is found, run it unpinned."""
+    before = set_blas_threads(n)
+    try:
+        yield
+    finally:
+        if before is not None:
+            set_blas_threads(before)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,8 @@ from .embedding import init_weights
 from .reservoir import (check_count, check_integer, check_physical_memory,
                         check_seed, run_features)
 from .readout import (
-    SHORT_DELAYS, Metrics, ridge_fit, predict, r_squared, rmse, mean_rmse_short,
+    SCORING_THREADS, SHORT_DELAYS, Metrics, blas_threads, ridge_fit, predict,
+    r_squared, rmse, mean_rmse_short,
 )
 
 COUNTS = {"n_total": 1, "n_train": 1, "n_test": 1, "n_washout": 0}  # least values
@@ -192,11 +193,12 @@ def _fit_and_score(rows, targets, n_train, n_test, alpha):
     if len(rows) < n_train + 1:
         raise ValueError(
             f"only {len(rows)} aligned samples for n_train={n_train}")
-    model = ridge_fit(rows[:n_train], targets[:n_train], alpha)
     x_test = rows[n_train:n_train + n_test]
     y_test = targets[n_train:n_train + n_test]
-    pred = predict(model, x_test)
-    return Metrics(r2=r_squared(pred, y_test), rmse=rmse(pred, y_test)), y_test
+    with blas_threads(SCORING_THREADS):  # the same bits on every host
+        pred = predict(ridge_fit(rows[:n_train], targets[:n_train], alpha), x_test)
+        metrics = Metrics(r2=r_squared(pred, y_test), rmse=rmse(pred, y_test))
+    return metrics, y_test
 
 
 def score_stmc_features(features, u, spec):

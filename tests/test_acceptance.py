@@ -23,7 +23,10 @@ docstring carries the analysis:
       configuration choice tried (full gamma grid, n_repeats 1 and 3).
 """
 
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import numpy as np
 import pytest
@@ -35,7 +38,7 @@ from swapqrn.channel import (
 )
 from swapqrn.embedding import init_weights, context_window, compute_angles, embedding_unitary
 from swapqrn.reservoir import ReservoirConfig, step, run_exact, run_trajectories
-from swapqrn.readout import ridge_fit
+from swapqrn.readout import ridge_fit, set_blas_threads
 from swapqrn.tasks import (
     StmcSpec, NarmaSpec, EsnConfig, gen_uniform, narma5, run_stmc, run_narma,
     run_esn_narma,
@@ -62,35 +65,50 @@ def _report(num, name, ok, detail=""):
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def stmc_sweeps():
-    """mean_rmse_short curves over the 20-value gamma grid."""
+def pool():
+    """One process per CPU, each at one BLAS thread as the CLI's workers
+    are, shared by the sweeps; a point's metrics do not depend on where it
+    runs."""
+    with ProcessPoolExecutor(os.cpu_count(), initializer=set_blas_threads,
+                             initargs=(1,)) as executor:
+        yield executor
+
+
+def _stmc_point(n_qubits, n_repeats, gamma):
+    rc = ReservoirConfig(n_qubits=n_qubits, gamma=gamma, n_repeats=n_repeats,
+                         c=1)
+    return run_stmc(StmcSpec(), rc).mean_rmse_short
+
+
+def _narma_point(n_qubits, n_repeats, gamma):
+    rc = ReservoirConfig(n_qubits=n_qubits, gamma=gamma, n_repeats=n_repeats,
+                         c=5)
+    result = run_narma(NarmaSpec(), rc)
+    return result.metrics.rmse, result.target_std
+
+
+@pytest.fixture(scope="module")
+def stmc_sweeps(pool):
+    """mean_rmse_short curves over the 20-value gamma grid; a curve's
+    elapsed time is its wall time on the pool."""
     out = {"elapsed": {}}
     for n_qubits, n_repeats in ((16, 1), (16, 3), (4, 1)):
         start = time.perf_counter()
-        curve = {}
-        for gamma in GAMMA_GRID:
-            rc = ReservoirConfig(n_qubits=n_qubits, gamma=gamma,
-                                 n_repeats=n_repeats, c=1)
-            curve[gamma] = run_stmc(StmcSpec(), rc).mean_rmse_short
-        out[(n_qubits, n_repeats)] = curve
+        values = pool.map(partial(_stmc_point, n_qubits, n_repeats), GAMMA_GRID)
+        out[(n_qubits, n_repeats)] = dict(zip(GAMMA_GRID, values))
         out["elapsed"][(n_qubits, n_repeats)] = time.perf_counter() - start
     return out
 
 
 @pytest.fixture(scope="module")
-def narma_sweeps():
+def narma_sweeps(pool):
     """Test RMSE curves at n_qubits=12 over the gamma grid, r in {1, 3}."""
     out = {"elapsed": {}}
     for n_repeats in (3, 1):
         start = time.perf_counter()
-        curve = {}
-        for gamma in GAMMA_GRID:
-            rc = ReservoirConfig(n_qubits=12, gamma=gamma,
-                                 n_repeats=n_repeats, c=5)
-            result = run_narma(NarmaSpec(), rc)
-            curve[gamma] = result.metrics.rmse
-            out["target_std"] = result.target_std
-        out[n_repeats] = curve
+        results = list(pool.map(partial(_narma_point, 12, n_repeats), GAMMA_GRID))
+        out[n_repeats] = {g: rmse for g, (rmse, _) in zip(GAMMA_GRID, results)}
+        out["target_std"] = results[-1][1]
         out["elapsed"][n_repeats] = time.perf_counter() - start
     return out
 
@@ -103,27 +121,35 @@ GAMMA_BY_PROMISE = (0.75, 0.85, 0.65, 0.9, 0.7, 0.8, 0.95, 0.6, 1.0, 0.55,
                     0.5, 0.45, 0.4, 0.35, 0.3, 0.25, 0.2, 0.15, 0.1, 0.05)
 
 
+def _esn_size(n_mem, known=None):
+    """The 200-seed ESN of ``n_mem`` nodes, and the best QRN RMSE of
+    ``2 n_mem`` qubits over the gamma grid, or ``known`` where given; the
+    gamma loop stops at the first win."""
+    spec = NarmaSpec()
+    esn = run_esn_narma(spec, EsnConfig(n_nodes=n_mem), 200)
+    if known is not None:
+        return esn, known
+    best = np.inf
+    for gamma in GAMMA_BY_PROMISE:
+        rc = ReservoirConfig(n_qubits=2 * n_mem, gamma=gamma, n_repeats=3, c=5)
+        best = min(best, run_narma(spec, rc).metrics.rmse)
+        if best <= esn.median:
+            break
+    return esn, best
+
+
 @pytest.fixture(scope="module")
-def esn_comparison(narma_sweeps):
-    """ESN medians (200 seeds) and matched-size QRN bests over the gamma grid."""
+def esn_comparison(narma_sweeps, pool):
+    """ESN medians (200 seeds) and matched-size QRN bests over the gamma
+    grid, one size per pool task, the largest first; 12 qubits reuse the
+    NARMA sweep."""
     start = time.perf_counter()
     spec = NarmaSpec()
-    esn = {n: run_esn_narma(spec, EsnConfig(n_nodes=n), 200)
-           for n in range(1, 9)}
-    qrn = {}
-    for n_qubits in range(2, 17, 2):
-        n_mem = n_qubits // 2
-        if n_qubits == 12:
-            qrn[n_mem] = min(narma_sweeps[3].values())
-            continue
-        best = np.inf
-        for gamma in GAMMA_BY_PROMISE:
-            rc = ReservoirConfig(n_qubits=n_qubits, gamma=gamma,
-                                 n_repeats=3, c=5)
-            best = min(best, run_narma(spec, rc).metrics.rmse)
-            if best <= esn[n_mem].median:
-                break
-        qrn[n_mem] = best
+    sizes = range(8, 0, -1)
+    known = {6: min(narma_sweeps[3].values())}
+    results = dict(zip(sizes, pool.map(_esn_size, sizes, map(known.get, sizes))))
+    esn = {n: results[n][0] for n in range(1, 9)}
+    qrn = {n: results[n][1] for n in range(1, 9)}
     _, y = narma5(gen_uniform(spec.seed, spec.n_total, 0.0, 0.5))
     floor = float(np.std(y[spec.n_train:spec.n_train + spec.n_test]))
     return {"esn": esn, "qrn": qrn, "floor": floor,

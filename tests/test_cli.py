@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from swapqrn import cli
+from swapqrn.readout import set_blas_threads
 from swapqrn.reservoir import BACKENDS, ReservoirConfig, check_memory
 from swapqrn.tasks import EsnConfig, NarmaSpec, check_esn_memory
 
@@ -204,22 +206,29 @@ class TestParseConfig:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, flag, value, reason", [
-        (["--n-qubits", "abc"], "--n-qubits", "abc",
+        (["run", "--n-qubits", "abc"], "--n-qubits", "abc",
          "invalid literal for int() with base 10: 'abc'"),
-        (["--context", "x"], "--context", "x",
+        (["run", "--context", "x"], "--context", "x",
          "invalid literal for int() with base 10: 'x'"),
-        (["--gamma=half"], "--gamma", "half",
+        (["run", "--gamma=half"], "--gamma", "half",
          "could not convert string to float: 'half'"),
-        (["--task", "esn-baseline", "--n-esn-seeds", "2.5"], "--n-esn-seeds",
-         "2.5", "invalid literal for int() with base 10: '2.5'"),
-    ], ids=["n-qubits", "context", "gamma", "n-esn-seeds"])
+        (["run", "--task", "esn-baseline", "--n-esn-seeds", "2.5"],
+         "--n-esn-seeds", "2.5", "invalid literal for int() with base 10: '2.5'"),
+        (["sweep", "--workers", "abc"], "--workers", "abc",
+         "invalid literal for int() with base 10: 'abc'"),
+        (["run", "--task", "bogus"], "--task", "bogus",
+         "expected one of stmc, narma5, esn-baseline"),
+        (["sweep", "--gamma-grid", "abc"], "--gamma-grid", "abc",
+         "could not convert string to float: 'abc'"),
+    ], ids=["n-qubits", "context", "gamma", "n-esn-seeds", "workers", "task",
+            "gamma-grid"])
     def test_bad_flag_value_names_flag(self, tmp_path, capsys, argv, flag,
                                        value, reason):
         """A flag is read through its key's schema: a value that does not
         parse exits 2 with one line naming the flag as typed, nothing
         written."""
         out = tmp_path / "out"
-        assert cli.main(["run", *argv, "--outdir", str(out)]) == 2
+        assert cli.main([*argv, "--outdir", str(out)]) == 2
         assert capsys.readouterr().err == (
             f"config error: invalid value for {flag}: {value!r} ({reason})\n")
         assert not out.exists()
@@ -577,8 +586,31 @@ class TestSweepVerb:
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
         env = json.loads((outs[0] / "records.json").read_text())["environment"]
         assert env["numpy"] == np.__version__
-        assert set(env) == {"numpy", "blas", "threads", "cpu_count"}
+        assert set(env) == {"numpy", "blas", "threads", "blas_threads",
+                            "cpu_count"}
         assert set(env["blas"]) == {"name", "version"}
+
+    def test_blas_threads_reach_records_only(self, tmp_path, monkeypatch):
+        """The BLAS thread counts describe the host: a run that finds no
+        getter and one whose process runs 3 threads record them in
+        records.json, and write the same results.csv, MANIFEST and figure
+        CSVs."""
+        path = write_config(
+            tmp_path, TINY_STMC + "\n[sweep]\ngamma = 0.5, 1.0\nn_qubits = 2\nn_repeats = 1\n")
+        outs, recorded = [], []
+        for name, count in (("unpinned", None), ("three", 3)):
+            monkeypatch.setattr(cli, "blas_thread_count", lambda: count)
+            out = tmp_path / name
+            assert cli.main(["sweep", "--config", path, "--outdir", str(out)]) == 0
+            assert cli.main(["plotdata", "--records",
+                             str(out / "records.json"), "--outdir", str(out)]) == 0
+            payload = json.loads((out / "records.json").read_text())
+            recorded.append(payload["environment"]["blas_threads"])
+            outs.append(out)
+        assert recorded == ["unpinned", {"scoring": 1, "process": 3}]
+        for fname in ("results.csv", "MANIFEST", "fig_stmc_r2_vs_tau.csv",
+                      "fig_stmc_rmse_vs_gamma.csv"):
+            assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
     def test_staging_files_written_and_merged(self, tmp_path):
         path = write_config(
@@ -605,14 +637,40 @@ class TestSweepVerb:
             rec.pop("wall_time_s")
         assert a == b
 
+    def test_scores_independent_of_blas_threads(self, tmp_path):
+        """Two 16-qubit points on a short series, in fresh interpreters at one
+        and two OpenBLAS threads and on a pool of two workers, write the same
+        results.csv and MANIFEST: their 100 training rows take the dual
+        fit, whose last bits depend on the thread count."""
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        path = write_config(tmp_path, "[task]\nn_total = 130\nn_train = 100\n"
+                                      "n_test = 15\nn_washout = 4\n")
+        argv = ["-m", "swapqrn.cli", "sweep", "--n-qubits-grid", "16",
+                "--gamma-grid", "0.3,0.9", "--n-repeats-grid", "1",
+                "--config", path]
+        outs = []
+        for name, threads, extra in (("one", "1", []), ("two", "2", []),
+                                     ("pool", "2", ["--workers", "2"])):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           [src, os.environ.get("PYTHONPATH", "")]))
+            out = tmp_path / name
+            subprocess.run([sys.executable, *argv, *extra, "--outdir", str(out)],
+                           env=env, capture_output=True, check=True)
+            outs.append(out)
+        for fname in ("results.csv", "MANIFEST"):
+            assert len({(out / fname).read_bytes() for out in outs}) == 1, fname
+
     def test_pool_submits_longest_first(self, tmp_path, monkeypatch):
         """Points go to the pool in decreasing 4**n_mem * n_repeats * n_total,
         ties in index order; the records still come out in index order."""
         submitted = []
 
         class InlinePool:  # runs each point at submission, in this process
-            def __init__(self, max_workers):
-                pass
+            def __init__(self, max_workers, initializer, initargs):
+                # each worker would run at one BLAS thread; not applied here,
+                # where it would pin this process for the tests that follow
+                assert (initializer, initargs) == (set_blas_threads, (1,))
 
             def __enter__(self):
                 return self
@@ -626,7 +684,8 @@ class TestSweepVerb:
                 future.set_result(fn(cfg, index, rc))
                 return future
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        # cmd_sweep imports the pool from concurrent.futures when it needs one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         path = write_config(tmp_path, TINY_STMC + (
             "\n[sweep]\ngamma = 0.5, 1.0\nn_qubits = 2, 4\nn_repeats = 1, 2\n"))
@@ -713,7 +772,8 @@ class TestSweepVerb:
         assert cli.main(["sweep", "--config", path, "--outdir", str(serial)]) == 0
         capsys.readouterr()
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", None)  # must not be used
+        # must not be used
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
         capped = tmp_path / "capped"
         assert cli.main(["sweep", "--config", path, "--outdir", str(capped),
                          "--workers", "4"]) == 0
@@ -1035,6 +1095,24 @@ def test_import_loads_no_cli():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_import_loads_no_pool(tmp_path):
+    """Importing the CLI, and a serial sweep after it, in a fresh
+    interpreter load neither concurrent.futures nor multiprocessing."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    argv = ["sweep", "--n-qubits-grid", "2", "--gamma-grid", "0.5,1.0",
+            "--n-repeats-grid", "1", "--outdir", str(tmp_path / "out"),
+            "--config", write_config(tmp_path, TINY_STMC)]
+    pool = "{'concurrent.futures', 'multiprocessing'} & set(sys.modules)"
+    code = (f"import sys, swapqrn.cli; before = sorted({pool}); "
+            f"assert swapqrn.cli.main({argv!r}) == 0; "
+            f"print(before, sorted({pool}))")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "[] []"
 
 
 def test_import_loads_no_scipy():

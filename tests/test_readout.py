@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from swapqrn import readout
 from swapqrn.readout import (
-    RidgeModel, Metrics, ridge_fit, predict, r_squared, rmse, mean_rmse_short,
+    RidgeModel, Metrics, blas_thread_count, blas_threads, ridge_fit, predict,
+    r_squared, rmse, mean_rmse_short, set_blas_threads,
 )
 
 import oracles
@@ -186,3 +188,28 @@ class TestMetrics:
     def test_mean_rmse_short_requires_all_five(self):
         with pytest.raises(ValueError):
             mean_rmse_short({0: Metrics(1.0, 0.1), -1: Metrics(1.0, 0.1)})
+
+
+class TestBlasThreads:
+
+    def test_sets_and_restores_the_count(self):
+        """Inside the block the process runs at the given count; on exit,
+        also by an exception, it runs at the count it had."""
+        before = blas_thread_count()
+        if before is None:
+            pytest.skip("no OpenBLAS thread setter in this numpy build")
+        for n in (1, 2):
+            with blas_threads(n):
+                assert blas_thread_count() == n
+            assert blas_thread_count() == before
+        with pytest.raises(ZeroDivisionError), blas_threads(1 + (before == 1)):
+            1 / 0
+        assert blas_thread_count() == before
+
+    def test_no_setter_changes_nothing(self, monkeypatch):
+        """Where no setter is found the block runs unpinned."""
+        monkeypatch.setattr(readout, "_openblas", lambda: None)
+        assert blas_thread_count() is None
+        assert set_blas_threads(1) is None
+        with blas_threads(1):
+            assert blas_thread_count() is None

@@ -187,15 +187,26 @@ class TestFactoredKernel:
     @pytest.mark.parametrize("n_repeats", [1, 3])
     def test_features_independent_of_blas_threads(self, n_repeats):
         """At 16 qubits the features of two fresh interpreters, one with one
-        OpenBLAS thread and one with two, are byte-identical."""
+        OpenBLAS thread and one with two, are byte-identical; so are 4,000
+        trajectories at 8 qubits, which a pool worker runs at one thread."""
+        self._same_digest_at_threads(
+            f"cfg = ReservoirConfig(n_qubits=16, gamma=0.55, n_repeats={n_repeats})\n"
+            "u = np.random.default_rng(8).random(40)\n")
+        self._same_digest_at_threads(
+            "cfg = ReservoirConfig(n_qubits=8, gamma=0.55, n_repeats="
+            f"{n_repeats}, backend='trajectory', n_shots=4000)\n"
+            "u = np.random.default_rng(8).random(20)\n")
+
+    @staticmethod
+    def _same_digest_at_threads(setup):
         src = os.path.dirname(os.path.dirname(reservoir.__file__))
         code = (
             "import hashlib, numpy as np\n"
-            "from swapqrn import ReservoirConfig, init_weights, run_exact\n"
-            f"cfg = ReservoirConfig(n_qubits=16, gamma=0.55, n_repeats={n_repeats})\n"
-            "u = np.random.default_rng(8).random(40)\n"
+            "from swapqrn import ReservoirConfig, init_weights, run_features\n"
+            + setup +
             "w = init_weights(cfg.seed, cfg.c, cfg.n_mem)\n"
-            "print(hashlib.sha256(run_exact(u, w, cfg).tobytes()).hexdigest())\n")
+            "rows = run_features(u, w, cfg, np.random.default_rng(3))\n"
+            "print(hashlib.sha256(rows.tobytes()).hexdigest())\n")
         digests = []
         for threads in ("1", "2"):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
