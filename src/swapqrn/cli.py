@@ -36,9 +36,10 @@ from typing import get_args, get_origin
 import numpy as np
 
 from . import __version__
-from .readout import SCORING_THREADS, blas_thread_count, set_blas_threads
-from .reservoir import (BACKENDS, ReservoirConfig, atomic_open, check_count,
-                        check_memory)
+from .gates import check_count
+from .readout import (SCORING_THREADS, blas_thread_count, check_alpha,
+                      set_blas_threads)
+from .reservoir import BACKENDS, ReservoirConfig, atomic_open, check_memory
 from .tasks import (
     StmcSpec, NarmaSpec, EsnConfig, check_esn_alpha, check_esn_memory,
     run_stmc, run_narma, run_esn_narma,
@@ -176,8 +177,7 @@ def parse_config(config_path=None, flag_overrides=None):
         # a task whose [task] section configures an ESN runs one per point
         esn = (EsnConfig(n_nodes=reservoir.n_mem, seed=task_spec.seed, **esn_kwargs)
                if _ESN_SCHEMA.keys() <= entry.schema.keys() else None)
-        if esn is None and task_spec.alpha == 0:  # quantum rows sum to 1
-            raise ValueError(f"alpha must be > 0 for {task}, got 0.0")
+        check_alpha(task_spec.alpha, reservoir_rows=esn is None)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config error in [task]: {exc}") from exc
 

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .gates import check_count, check_seed
+
 
 @dataclass(frozen=True)
 class EmbeddingWeights:
@@ -32,10 +34,9 @@ class EmbeddingWeights:
 
 def init_weights(seed: int, c: int, n_mem: int) -> EmbeddingWeights:
     """Draw weights in a fixed order: w_in (i,j,k), then w_bias, then w_hidden."""
-    if c < 1:
-        raise ValueError(f"context length must be >= 1, got {c}")
-    if n_mem < 1:
-        raise ValueError(f"memory register needs >= 1 qubit, got {n_mem}")
+    check_seed(seed)
+    check_count("c", c)
+    check_count("n_mem", n_mem)
     rng = np.random.default_rng(seed)
     # 1 - v maps [0, 1) draws onto the half-open (0, pi] target range
     w_in = np.pi * (1.0 - rng.random((c, n_mem, 3)))
@@ -135,8 +136,7 @@ def embedding_unitary(theta: np.ndarray, w_hidden: np.ndarray,
     if w_hidden.shape != (theta.shape[0],):
         raise ValueError(
             f"w_hidden shape {w_hidden.shape} != ({theta.shape[0]},)")
-    if n_repeats < 1:
-        raise ValueError(f"n_repeats must be >= 1, got {n_repeats}")
+    check_count("n_repeats", n_repeats)
     block = crz_ring_diagonal(w_hidden)[:, None] * kron_layer(rotation_stack(theta))
     if n_repeats == 1:
         return block

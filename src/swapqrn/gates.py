@@ -9,6 +9,27 @@ from __future__ import annotations
 import numpy as np
 
 
+def check_seed(seed):
+    """A seed for ``np.random.default_rng``: a non-negative integer."""
+    if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
+            or seed < 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
+def check_integer(name, value, error=ValueError):
+    """``value``, named ``name`` in the ``error`` raised, must be an integer;
+    a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {value!r}")
+
+
+def check_count(name, value, least=1, error=ValueError):
+    """As :func:`check_integer`, and ``value`` must be >= ``least``."""
+    check_integer(name, value, error)
+    if value < least:
+        raise error(f"{name} must be >= {least}, got {value}")
+
+
 def check_gamma(gamma: float) -> float:
     gamma = float(gamma)
     if not np.isfinite(gamma) or not 0.0 < gamma <= 1.0:

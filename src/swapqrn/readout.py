@@ -79,6 +79,14 @@ class Metrics:
     rmse: float
 
 
+def check_alpha(alpha, reservoir_rows=False):
+    """A ridge term: finite and >= 0, or > 0 for ``reservoir_rows``, whose
+    entries sum to 1 and so leave the centred design singular."""
+    if not (0.0 < alpha < math.inf or alpha == 0 and not reservoir_rows):
+        bound = ">" if reservoir_rows else ">="
+        raise ValueError(f"alpha must be finite and {bound} 0, got {alpha}")
+
+
 def ridge_fit(x, y, alpha):
     """Fit ``y ~ x @ w + b`` minimizing ||y - xw - b||^2 + alpha ||w||^2.
 
@@ -86,18 +94,17 @@ def ridge_fit(x, y, alpha):
     smaller system is factored, in O(min(n, k)^2 max(n, k)) for n samples
     and k columns: the k x k normal equations when n >= k, else the n x n
     dual (xc xc^T + alpha I) a = yc with w = xc^T a, as for a short
-    series on the 256 readout columns of 16 qubits.  With ``alpha == 0`` a
-    rank-deficient design, such as any with n <= k once centred, raises
-    ``numpy.linalg.LinAlgError`` rather than silently returning one of many
-    minimizers.
+    series on the 256 readout columns of 16 qubits.  At ``alpha == 0`` only
+    n <= k and a failed Cholesky raise ``numpy.linalg.LinAlgError``, so a
+    rank-deficient design can pass; reservoir rows, which sum to 1, need
+    ``alpha > 0``, and the callers that fit them refuse 0.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0] or not len(y):
         raise ValueError(
             f"need x (n, k) and y (n,) with n >= 1, got {x.shape} and {y.shape}")
-    if not 0.0 <= alpha < math.inf:
-        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
+    check_alpha(alpha)
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError("x and y must be finite")
     n, k = x.shape

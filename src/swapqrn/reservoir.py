@@ -21,8 +21,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gates import (check_gamma, damping_probability, n_qubits_of,
-                    swap_coefficients)
+from .gates import (check_count, check_gamma, check_seed, damping_probability,
+                    n_qubits_of, swap_coefficients)
 from .channel import (
     PASS_BUFFER, collapse, collapse_tables, collapse_workspace,
     collapse_workspace_bytes, damping_channel, damping_transfer, ground_state,
@@ -37,27 +37,6 @@ HEALTH_TOL = 1e-10  # largest trace drift or Hermiticity residual accepted
 # the largest |s^2 (1 + |c|^2) - 1| that damping_frame aims for: the trace
 # gained or lost per unit of excited population, qubit and step
 FRAME_TOL = 2.0 ** -55
-
-
-def check_seed(seed):
-    """A seed for ``np.random.default_rng``: a non-negative integer."""
-    if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
-            or seed < 0):
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-
-
-def check_integer(name, value, error=ValueError):
-    """``value``, named ``name`` in the ``error`` raised, must be an integer;
-    a bool is not one."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise error(f"{name} must be an integer, got {value!r}")
-
-
-def check_count(name, value, least=1, error=ValueError):
-    """As :func:`check_integer`, and ``value`` must be >= ``least``."""
-    check_integer(name, value, error)
-    if value < least:
-        raise error(f"{name} must be >= {least}, got {value}")
 
 
 @dataclass(frozen=True)

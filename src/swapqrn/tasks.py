@@ -9,18 +9,17 @@ recursion after seeing ``z[t]``; the first five targets lean on zero-padded
 history and are dropped.
 """
 
-import math
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .embedding import init_weights
-from .reservoir import (check_count, check_integer, check_physical_memory,
-                        check_seed, run_features)
+from .gates import check_count, check_integer, check_seed
+from .reservoir import check_physical_memory, run_features
 from .readout import (
-    SCORING_THREADS, SHORT_DELAYS, Metrics, blas_threads, ridge_fit, predict,
-    r_squared, rmse, mean_rmse_short,
+    SCORING_THREADS, SHORT_DELAYS, Metrics, blas_threads, check_alpha,
+    ridge_fit, predict, r_squared, rmse, mean_rmse_short,
 )
 
 COUNTS = {"n_total": 1, "n_train": 1, "n_test": 1, "n_washout": 0}  # least values
@@ -51,10 +50,7 @@ class StmcSpec:
             check_integer("delays", tau)
         if any(tau > 0 for tau in self.delays):
             raise ValueError("delays must be <= 0")
-        # every quantum feature row sums to 1, so without a ridge term the
-        # centred design is singular
-        if not 0.0 < self.alpha < math.inf:
-            raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
+        check_alpha(self.alpha, reservoir_rows=True)
         # the longest delay and the washout come off the front, and one
         # sample must follow the training split
         need = (self.n_washout + self.n_train + 1
@@ -84,8 +80,7 @@ class NarmaSpec:
         if self.n_washout >= self.n_train:
             raise ValueError("washout must leave training samples")
         # 0 stays legal: the ESN baseline's tanh states are not singular
-        if not 0.0 <= self.alpha < math.inf:
-            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
+        check_alpha(self.alpha)
         # the first five targets are dropped, and one sample must follow
         # the training split
         if self.n_total < self.n_train + 6:
@@ -208,7 +203,7 @@ def score_stmc_features(features, u, spec):
         rows, targets = stmc_align(features, u, tau, spec.n_washout)
         metrics[tau], y_test = _fit_and_score(
             rows, targets, spec.n_train, spec.n_test, spec.alpha)
-        n_train_used[tau] = min(spec.n_train, len(rows))
+        n_train_used[tau] = spec.n_train
         n_test_used[tau] = len(y_test)
     short = (mean_rmse_short(metrics)
              if all(d in metrics for d in SHORT_DELAYS) else None)
@@ -249,6 +244,7 @@ def score_narma_features(features, z, spec, y_aligned=None):
 
 def run_narma(spec, rc, weights=None, rng=None):
     """Full NARMA-5 protocol on reservoir features."""
+    check_alpha(spec.alpha, reservoir_rows=True)
     z = gen_uniform(spec.seed, spec.n_total, 0.0, 0.5)
     if weights is None:
         weights = init_weights(rc.seed, rc.c, rc.n_mem)

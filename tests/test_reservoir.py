@@ -68,11 +68,15 @@ class TestReservoirConfig:
         ("StmcSpec.n_train", 700.0), ("StmcSpec.n_test", 275.5),
         ("StmcSpec.n_washout", True), ("StmcSpec.delays", (0, 0.5)),
         ("NarmaSpec.n_total", 1000.0), ("NarmaSpec.n_washout", "15"),
-        ("EsnConfig.n_nodes", 4.0), ("run_esn_narma.n_seeds", 3.0)])
+        ("EsnConfig.n_nodes", 4.0), ("run_esn_narma.n_seeds", 3.0),
+        ("init_weights.c", 2.0), ("init_weights.c", True),
+        ("init_weights.n_mem", np.bool_(True)),
+        ("embedding_unitary.n_repeats", True)])
     def test_rejects_non_integer_sizes(self, field, value):
         """A float, bool or string size is refused when the config is
-        built: ``owner.field`` names a task config or ``run_esn_narma``,
-        a bare field a ``ReservoirConfig``; each entry of ``delays``."""
+        built: ``owner.field`` names a task config, ``run_esn_narma``,
+        ``init_weights`` or ``embedding_unitary``, a bare field a
+        ``ReservoirConfig``; each entry of ``delays``."""
         owner, _, name = field.rpartition(".")
         make = {
             "": lambda **kw: ReservoirConfig(**{**dict(
@@ -80,7 +84,11 @@ class TestReservoirConfig:
             "StmcSpec": StmcSpec, "NarmaSpec": NarmaSpec,
             "EsnConfig": lambda **kw: EsnConfig(**{"n_nodes": 4, **kw}),
             "run_esn_narma": lambda **kw: run_esn_narma(
-                NarmaSpec(), EsnConfig(n_nodes=2), **kw)}[owner]
+                NarmaSpec(), EsnConfig(n_nodes=2), **kw),
+            "init_weights": lambda **kw: init_weights(
+                **{"seed": 1, "c": 1, "n_mem": 2, **kw}),
+            "embedding_unitary": lambda **kw: embedding_unitary(
+                np.zeros((2, 3)), np.zeros(2), **kw)}[owner]
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
             make(**{name: value})
 
@@ -94,8 +102,9 @@ class TestReservoirConfig:
          "n_qubits must be even, got 3"),
         (lambda: ReservoirConfig(n_qubits=4, gamma=0.5, n_shots=0),
          "n_shots must be >= 1, got 0"),
+        (lambda: init_weights(1, 0, 3), "c must be >= 1, got 0"),
     ], ids=["narma-n-train", "stmc-n-washout", "esn-n-nodes",
-            "n-qubits-below-two", "n-qubits-odd", "n-shots"])
+            "n-qubits-below-two", "n-qubits-odd", "n-shots", "init-weights-c"])
     def test_count_out_of_range_names_field(self, make, message):
         """A count below its least value, or an odd register, is refused
         with an error that names its field."""

@@ -43,12 +43,14 @@ class TestGenUniform:
 
 @pytest.mark.parametrize("cls, kwargs", [
     (ReservoirConfig, dict(n_qubits=4, gamma=0.5)), (StmcSpec, {}),
-    (NarmaSpec, {}), (EsnConfig, dict(n_nodes=2))])
+    (NarmaSpec, {}), (EsnConfig, dict(n_nodes=2)),
+    (init_weights, dict(c=1, n_mem=2))])
 class TestSeedValidation:
     """Every seed reaches ``np.random.default_rng``, which takes only
     non-negative integers."""
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, True, np.float64(2.0), "3"])
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, np.float64(2.0), "3",
+                                      [1, 2]])
     def test_rejects_bad_seed(self, cls, kwargs, seed):
         with pytest.raises(ValueError,
                            match="^seed must be a non-negative integer"):
@@ -226,6 +228,19 @@ class TestRunNarma:
         rc = ReservoirConfig(n_qubits=4, gamma=0.5, c=5)
         result = run_narma(spec, rc, weights=zero_weights(5, 2))
         assert abs(result.metrics.rmse - result.target_std) / result.target_std < 0.05
+
+    @pytest.mark.parametrize("n_qubits", [2, 4, 6])
+    def test_zero_alpha_refused_before_the_reservoir_runs(self, monkeypatch,
+                                                          n_qubits):
+        """Reservoir rows sum to 1, so alpha = 0 leaves the centred design
+        singular: refused before any feature is computed, at every size."""
+        def run_features(*args, **kwargs):
+            raise AssertionError("the reservoir ran")
+        monkeypatch.setattr(tasks, "run_features", run_features)
+        rc = ReservoirConfig(n_qubits=n_qubits, gamma=0.5, c=5)
+        with pytest.raises(ValueError,
+                           match=r"^alpha must be finite and > 0, got 0\.0$"):
+            run_narma(NarmaSpec(alpha=0.0), rc)
 
     def test_split_sizes_and_floor_value(self):
         spec = NarmaSpec()
