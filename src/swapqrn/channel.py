@@ -133,21 +133,24 @@ def purity(rho: np.ndarray) -> float:
 def collapse_workspace(m, n):
     """Arrays :func:`collapse` writes for a batch of m rows of n qubits: the
     ones whose size scales with the batch.  ``"levels"`` holds the two
-    half-size buffers that the draw's levels alternate between."""
+    half-size buffers that the draw's levels alternate between; ``"scale"``
+    is a complex view of ``"sq"`` and ``"index"`` an int64 view of ``"w"``,
+    each written only after the draw has spent the buffer under it.
+    ``"out"`` may hold the batch's ground states before the first step."""
     dim = 1 << n
-    return {"sq": np.empty((m, 2 * dim)), "w": np.empty((dim, m)),
-            "levels": np.empty((2, dim // 2, m)),
-            "index": np.empty((m, dim), np.int64),
+    sq, w = np.empty((m, 2 * dim)), np.empty((dim, m))
+    return {"sq": sq, "w": w, "levels": np.empty((2, dim // 2, m)),
+            "index": w.reshape(m, dim).view(np.int64),
             "kept": np.empty((m, dim), complex),
-            "scale": np.empty((m, dim), complex),
+            "scale": sq.view(complex),
             "out": np.empty((m, dim), complex)}
 
 
 def collapse_workspace_bytes(m, n):
     """Bytes of ``collapse_workspace(m, n)``, computed without allocating:
-    per row and basis index, 16 of sq, 8 each of w, the levels and the
-    index, and 16 each of kept, scale and out."""
-    return 88 * m << n
+    per row and basis index, 16 of sq (and the scale it holds), 8 each of w
+    (and the index it holds) and the levels, and 16 each of kept and out."""
+    return 64 * m << n
 
 
 def collapse_tables(gamma, n):

@@ -94,10 +94,11 @@ def ridge_fit(x, y, alpha):
     smaller system is factored, in O(min(n, k)^2 max(n, k)) for n samples
     and k columns: the k x k normal equations when n >= k, else the n x n
     dual (xc xc^T + alpha I) a = yc with w = xc^T a, as for a short
-    series on the 256 readout columns of 16 qubits.  At ``alpha == 0`` only
-    n <= k and a failed Cholesky raise ``numpy.linalg.LinAlgError``, so a
-    rank-deficient design can pass; reservoir rows, which sum to 1, need
-    ``alpha > 0``, and the callers that fit them refuse 0.
+    series on the 256 readout columns of 16 qubits.  At ``alpha == 0``,
+    n <= k, rows that all share one sum (to within sqrt(eps) of the centred
+    design's norm, as reservoir rows summing to 1 do: the ones vector is
+    then in the centred null space) and a failed Cholesky raise
+    ``numpy.linalg.LinAlgError``; another rank-deficient design can pass.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -115,6 +116,11 @@ def ridge_fit(x, y, alpha):
     x_mean = x.mean(axis=0)
     y_mean = y.mean()
     xc = x - x_mean
+    if alpha == 0 and (np.linalg.norm(xc.sum(axis=1))
+                       <= math.sqrt(np.finfo(float).eps) * np.linalg.norm(xc)):
+        raise np.linalg.LinAlgError(
+            "rows that all share one sum leave the centred design singular "
+            "at alpha = 0; increase alpha")
     dual = n < k
     gram = (xc @ xc.T if dual else xc.T @ xc) + alpha * np.eye(min(n, k))
     try:

@@ -106,12 +106,16 @@ class TestRidgeFit:
             assert model.b == b_ref
 
     def test_singular_unregularized_raises(self):
-        """At alpha = 0 a rank-deficient design raises: a constant one, and
-        a square and random wide ones, which factor without complaint but
-        have rank at most n - 1 < k once centred, so are refused by count.
-        Regularized, each fits, as does one row more than columns at 0."""
+        """At alpha = 0 a rank-deficient design raises: a constant one; tall
+        ones whose rows all sum to 1, as reservoir rows do, which have the
+        ones vector in their centred null space (about half of them factor
+        without complaint); and a square and random wide ones, which also
+        factor but have rank at most n - 1 < k once centred, so are refused
+        by count.  Regularized, each fits, as does one row more than columns
+        at 0."""
         rng = np.random.default_rng(0)
         designs = [np.ones((10, 3)), rng.normal(size=(3, 3))]
+        designs += [rng.dirichlet(np.ones(5), size=40) for _ in range(10)]
         for _ in range(100):
             n = int(rng.integers(2, 30))
             designs.append(rng.normal(size=(n, int(rng.integers(n, 60)))))

@@ -20,9 +20,9 @@ from swapqrn.embedding import (
 )
 from swapqrn.tasks import EsnConfig, NarmaSpec, StmcSpec, run_esn_narma
 from swapqrn.reservoir import (
-    CHUNK, ReservoirConfig, check_memory, step, run_exact, run_sampled,
-    run_trajectories, run_features, bitstring_labels, features_to_csv,
-    features_from_csv,
+    CHUNK, SPAWN_BATCH, ReservoirConfig, check_memory, step, run_exact,
+    run_sampled, run_trajectories, run_features, bitstring_labels,
+    features_to_csv, features_from_csv,
 )
 
 import oracles
@@ -418,21 +418,35 @@ class TestMemoryCheck:
         assert check_memory(odd, 10) == (
             256 * 10 * 3 + 3 * 16 * 64 + 2 ** 18 + 16 * 10 * (4 ** 2 + 2 ** 2)
             + 8 * 64 + 8 * 10 * 8 + 2 ** 18)
-        traj = replace(cfg, backend="trajectory", n_shots=CHUNK + 1)
-        assert check_memory(traj, 10) == (
-            rotations + 8 * CHUNK * 10 * 2 + 1024 * CHUNK + 24 * 16
+        # one chunk of SPAWN_BATCH + 1 rows: one spawn batch of generators
+        # outweighs the workspace, embedded batch and per-row vectors
+        few = replace(cfg, backend="trajectory", n_shots=SPAWN_BATCH + 1)
+        rows = SPAWN_BATCH + 1
+        assert 1024 * SPAWN_BATCH > (64 + 16) * rows * 4 + 64 * rows
+        assert check_memory(few, 10) == (
+            rotations + 8 * rows * 10 * 2 + 1024 * SPAWN_BATCH + 24 * 16
             + 4 * 16 * 16 + 2 * 8 * 10 * 4 + 2 ** 18)
-        wide = replace(traj, n_qubits=12)  # the step arrays outgrow 1 KiB/row
+        traj = replace(few, n_shots=CHUNK + 1)  # the step arrays outweigh it
+        assert check_memory(traj, 10) == (
+            rotations + 8 * CHUNK * 10 * 2 + (64 + 16) * CHUNK * 4
+            + 64 * CHUNK + 24 * 16 + 4 * 16 * 16 + 2 * 8 * 10 * 4 + 2 ** 18)
+        wide = replace(traj, n_qubits=12)
         assert check_memory(wide, 10) == (
-            256 * 10 * 6 + 8 * CHUNK * 10 * 6
-            + collapse_workspace_bytes(CHUNK, 6) + 2 * 16 * CHUNK * 64
+            256 * 10 * 6 + 8 * CHUNK * 10 * 6 + (64 + 16) * CHUNK * 64
             + 64 * CHUNK + 24 * 64 ** 2 + 4 * 16 * 64 ** 2 + 2 * 8 * 10 * 64
             + 2 ** 18)
 
     @pytest.mark.parametrize("m,n", [(1, 1), (7, 3), (50, 6)])
     def test_workspace_bytes_match_allocation(self, m, n):
+        """Each distinct buffer counts once: scale lives in sq, index in w."""
         ws = collapse_workspace(m, n)
-        assert collapse_workspace_bytes(m, n) == sum(b.nbytes for b in ws.values())
+        owners = {id(a): a for a in (b if b.base is None else b.base
+                                     for b in ws.values())}
+        assert len(owners) == len(ws) - 2
+        assert np.shares_memory(ws["scale"], ws["sq"])
+        assert np.shares_memory(ws["index"], ws["w"])
+        assert collapse_workspace_bytes(m, n) == sum(
+            a.nbytes for a in owners.values())
 
     @pytest.mark.parametrize("n_repeats", [1, 3])
     @pytest.mark.parametrize("n_qubits,backend,chunk", [
@@ -736,19 +750,25 @@ class TestRunTrajectories:
         tv = 0.5 * np.abs(freq - exact).sum(axis=1)
         assert tv.max() < 0.05
 
-    def test_equals_per_shot_collapse_loop(self):
-        """The batched kernel reproduces shot-by-shot collapse streams."""
-        n_shots, t_len = 12, 6
+    def test_equals_per_shot_collapse_loop(self, monkeypatch):
+        """The batched kernel reproduces shot-by-shot collapse streams, keyed
+        by a sweep point's ``[seed, point_index]``: 300 shots as a chunk of
+        280, which spawns a batch of SPAWN_BATCH and one of 24, and a chunk
+        of 20; every shot's generator is spawned once."""
+        n_shots, t_len = SPAWN_BATCH + 44, 6
+        monkeypatch.setattr(reservoir, "CHUNK", SPAWN_BATCH + 24)
         w = init_weights(3, c=1, n_mem=2)
         u = np.random.default_rng(4).random(t_len)
         cfg = ReservoirConfig(n_qubits=4, gamma=0.5, backend="trajectory",
                               n_shots=n_shots)
-        freq = run_trajectories(u, w, cfg, np.random.default_rng(31))
+        rng = np.random.default_rng([31, 2])
+        freq = run_trajectories(u, w, cfg, rng)
+        assert rng.bit_generator.seed_seq.n_children_spawned == n_shots
 
         unitaries = [embedding_unitary(compute_angles(context_window(u, t, 1), w),
                                        w.w_hidden, 1) for t in range(t_len)]
         counts = np.zeros((t_len, 4))
-        for child in np.random.default_rng(31).spawn(n_shots):
+        for child in np.random.default_rng([31, 2]).spawn(n_shots):
             psi = np.zeros(4, dtype=complex)
             psi[0] = 1.0
             for t in range(t_len):
