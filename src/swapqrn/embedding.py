@@ -128,7 +128,7 @@ def crz_ring_diagonal(w_hidden: np.ndarray) -> np.ndarray:
 
 def embedding_unitary(theta: np.ndarray, w_hidden: np.ndarray,
                       n_repeats: int) -> np.ndarray:
-    """Full-register unitary of the repeated rotation + CRZ ring block."""
+    """Full-register unitary: the rotation + CRZ ring block to ``n_repeats``."""
     theta = np.asarray(theta, dtype=float)
     w_hidden = np.asarray(w_hidden, dtype=float)
     if theta.ndim != 2 or theta.shape[1] != 3:
@@ -137,7 +137,6 @@ def embedding_unitary(theta: np.ndarray, w_hidden: np.ndarray,
         raise ValueError(
             f"w_hidden shape {w_hidden.shape} != ({theta.shape[0]},)")
     check_count("n_repeats", n_repeats)
-    block = crz_ring_diagonal(w_hidden)[:, None] * kron_layer(rotation_stack(theta))
-    if n_repeats == 1:
-        return block
-    return np.linalg.matrix_power(block, n_repeats)
+    return np.linalg.matrix_power(
+        crz_ring_diagonal(w_hidden)[:, None] * kron_layer(rotation_stack(theta)),
+        n_repeats)

@@ -94,11 +94,13 @@ def ridge_fit(x, y, alpha):
     smaller system is factored, in O(min(n, k)^2 max(n, k)) for n samples
     and k columns: the k x k normal equations when n >= k, else the n x n
     dual (xc xc^T + alpha I) a = yc with w = xc^T a, as for a short
-    series on the 256 readout columns of 16 qubits.  At ``alpha == 0``,
-    n <= k, rows that all share one sum (to within sqrt(eps) of the centred
-    design's norm, as reservoir rows summing to 1 do: the ones vector is
-    then in the centred null space) and a failed Cholesky raise
-    ``numpy.linalg.LinAlgError``; another rank-deficient design can pass.
+    series on the 256 readout columns of 16 qubits.  A ridge term at most
+    eps trace(G), G the centred Gram matrix, is lost in G's rounding and
+    counts as none: there n <= k and rows that all share one sum (to within
+    sqrt(eps trace(G)), as reservoir rows summing to 1 do: the ones vector
+    is then in the centred null space) raise ``numpy.linalg.LinAlgError``,
+    as does a failed Cholesky at any alpha; another rank-deficient design
+    can pass.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -109,20 +111,20 @@ def ridge_fit(x, y, alpha):
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError("x and y must be finite")
     n, k = x.shape
-    if alpha == 0 and n <= k:
-        raise np.linalg.LinAlgError(
-            f"{n} samples cannot fix {k} weights and an intercept at "
-            f"alpha = 0; increase alpha")
     x_mean = x.mean(axis=0)
     y_mean = y.mean()
     xc = x - x_mean
-    if alpha == 0 and (np.linalg.norm(xc.sum(axis=1))
-                       <= math.sqrt(np.finfo(float).eps) * np.linalg.norm(xc)):
-        raise np.linalg.LinAlgError(
-            "rows that all share one sum leave the centred design singular "
-            "at alpha = 0; increase alpha")
     dual = n < k
-    gram = (xc @ xc.T if dual else xc.T @ xc) + alpha * np.eye(min(n, k))
+    gram = xc @ xc.T if dual else xc.T @ xc
+    unpenalised = np.finfo(float).eps * np.trace(gram)  # lost in its rounding
+    if alpha <= unpenalised and (n <= k or np.linalg.norm(xc.sum(axis=1))
+                                 <= math.sqrt(unpenalised)):
+        why = (f"{n} samples cannot fix {k} weights and an intercept"
+               if n <= k else "rows that all share one sum leave the "
+               "centred design singular")
+        raise np.linalg.LinAlgError(f"{why} at alpha = {alpha} (at most eps "
+                                    "* trace); increase alpha")
+    gram[np.diag_indices(min(n, k))] += alpha
     try:
         chol = np.linalg.cholesky(gram)  # raises unless positive definite
     except np.linalg.LinAlgError as exc:

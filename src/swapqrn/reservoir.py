@@ -33,7 +33,6 @@ from .embedding import (compute_angles, crz_ring_diagonal, kron_layer,
 
 BACKENDS = ("exact", "sampled", "trajectory")
 CHUNK = 4096  # shots per trajectory batch
-SPAWN_BATCH = 256  # shot generators alive at once, about 0.9 KB each
 HEALTH_TOL = 1e-10  # largest trace drift or Hermiticity residual accepted
 # the largest |s^2 (1 + |c|^2) - 1| that damping_frame aims for: the trace
 # gained or lost per unit of excited population, qubit and step
@@ -101,22 +100,21 @@ def check_memory(cfg, n_steps):
     loop grows by about 19 KB), the :func:`_gate_pairs` stacks
     (two pairs at n_repeats > 1), the POVM matrix and the feature matrix,
     which the sampled draws copy three times more.
-    Trajectory: one chunk's uniform block, then the larger of one
-    ``SPAWN_BATCH`` of shot generators, about 1 KiB each, and the chunk's
-    step arrays (its collapse workspace and embedded batch), which never
-    coexist; the collapse tables, up to four dim x dim complex arrays while
-    a step's unitary is built, and the count and feature matrices.  Both
-    add 256 KiB for the interpreter's own small objects.
+    Trajectory: one chunk's uniform block and step arrays (its collapse
+    workspace and embedded batch), the collapse tables, up to four
+    dim x dim complex arrays while a step's unitary is built, and the count
+    and feature matrices.  Both add 256 KiB for the interpreter's own small
+    objects, among them the one shot generator (about 1 KiB) alive at a
+    time.
     """
     n_mem, dim = cfg.n_mem, 2 ** cfg.n_mem
     need = 256 * n_steps * n_mem
     if cfg.backend == "trajectory":
         rows = min(CHUNK, cfg.n_shots)
-        step_arrays = (collapse_workspace_bytes(rows, n_mem)
-                       + 16 * rows * dim + 64 * rows)
-        generators = 1024 * min(SPAWN_BATCH, rows)
-        need += (8 * rows * n_steps * n_mem + max(generators, step_arrays)
-                 + 24 * dim * dim + 4 * 16 * dim * dim + 2 * 8 * n_steps * dim)
+        need += (8 * rows * n_steps * n_mem
+                 + collapse_workspace_bytes(rows, n_mem) + 16 * rows * dim
+                 + 64 * rows + 24 * dim * dim + 4 * 16 * dim * dim
+                 + 2 * 8 * n_steps * dim)
     else:
         pairs = 2 if cfg.n_repeats > 1 else 1
         d_lo = 2 ** (n_mem // 2)
@@ -367,11 +365,12 @@ def run_trajectories(u, weights, cfg, rng):
     bit-reproducible.  The collapse tables, the CRZ diagonal and every
     step's rotations are built once per run, each step's unitary inside the
     loop.  Each chunk of up to ``CHUNK`` shots allocates its batch-sized
-    arrays once and drops them before the next one does.  Its shot
-    generators are spawned and spent ``SPAWN_BATCH`` at a time, the same
-    children in the same order as one ``rng.spawn``, and its ground batch
-    is written into the collapse workspace's ``out``, which the first step's
-    ``matmul`` reads before :func:`~swapqrn.channel.collapse` overwrites it.
+    arrays once and drops them before the next one does.  Each of its shots
+    fills its row of the uniform block from its own ``rng.spawn(1)`` child,
+    which is then dropped (repeated spawns give the children of one
+    ``rng.spawn`` in the same order), and its ground batch is written into
+    the collapse workspace's ``out``, which the first step's ``matmul``
+    reads before :func:`~swapqrn.channel.collapse` overwrites it.
     """
     _check_weights(weights, cfg)
     if cfg.n_shots is None:
@@ -389,19 +388,16 @@ def run_trajectories(u, weights, cfg, rng):
     for done in range(0, cfg.n_shots, CHUNK):
         m = min(CHUNK, cfg.n_shots - done)
         uniforms = np.empty((m, n_steps, n_mem))
-        for start in range(0, m, SPAWN_BATCH):  # the children of rng.spawn(m)
-            size = min(SPAWN_BATCH, m - start)
-            for k, child in enumerate(rng.spawn(size), start):
-                child.random(out=uniforms[k])
+        for row in uniforms:  # the children of rng.spawn(m), one alive
+            rng.spawn(1)[0].random(out=row)
         ws = collapse_workspace(m, n_mem)
         embedded = np.empty((m, dim), dtype=complex)
         states = ws["out"]  # the ground batch, read once by the first matmul
         states.fill(0.0)
         states[:, 0] = 1.0
         for t in range(n_steps):  # one unitary at a time, never all T
-            unitary = crz[:, None] * kron_layer(rots[t])
-            if cfg.n_repeats > 1:  # embedding_unitary, with crz built once
-                unitary = np.linalg.matrix_power(unitary, cfg.n_repeats)
+            unitary = np.linalg.matrix_power(  # embedding_unitary's, crz once
+                crz[:, None] * kron_layer(rots[t]), cfg.n_repeats)
             np.matmul(states, unitary.T, out=embedded)
             states, bits = collapse(embedded, uniforms[:, t], p, coef, src, ws)
             counts[t] += np.bincount(bits, minlength=dim)

@@ -23,6 +23,7 @@ docstring carries the analysis:
       configuration choice tried (full gamma grid, n_repeats 1 and 3).
 """
 
+import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -50,6 +51,9 @@ pytestmark = pytest.mark.acceptance
 
 GAMMA_GRID = tuple(round(0.05 * k, 10) for k in range(1, 21))
 FLOOR_U01 = float(np.sqrt(1.0 / 12.0))
+REFERENCE = os.path.join(os.path.dirname(__file__),
+                         "paper_scale_reference.json")
+METRIC_RTOL = 1e-9  # perfbench's bound on task metrics, relative
 
 
 def _report(num, name, ok, detail=""):
@@ -411,6 +415,41 @@ def test_12_esn_baseline(esn_comparison):
             f"medians={['%.4f' % m for m in medians]}, monotone={monotone}, "
             f"below_floor(N>=4)={below_floor}, qrn_wins={wins}/8 (need >=5), "
             f"runtime={elapsed:.0f}s (<300s)")
+
+
+def _leaves(node, path=()):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaves(value, path + (key,))
+    else:
+        yield "/".join(path), node
+
+
+def test_paper_scale_reference(stmc_sweeps, narma_sweeps, esn_comparison):
+    """The fixtures' 134 paper-scale numbers equal the committed reference
+    to ``METRIC_RTOL``: each STMC mean_rmse_short and NARMA RMSE over the
+    gamma grid, the NARMA target std, the ESN median, q1 and q3 and the QRN
+    best per size, and the floor.  Per-delay r^2 is left out: near 0 it
+    moves relatively more than 1e-9 under rounding alone."""
+    with open(REFERENCE) as handle:
+        want = dict(_leaves(json.load(handle)))
+    want.pop("about")
+    got = dict(_leaves({
+        "stmc_mean_rmse_short": {
+            f"{n},{r}": {repr(g): stmc_sweeps[(n, r)][g] for g in GAMMA_GRID}
+            for n, r in ((16, 1), (16, 3), (4, 1))},
+        "narma_rmse": {str(r): {repr(g): narma_sweeps[r][g]
+                                for g in GAMMA_GRID} for r in (3, 1)},
+        "narma_target_std": narma_sweeps["target_std"],
+        "esn": {str(n): {"median": e.median, "q1": e.q1, "q3": e.q3}
+                for n, e in esn_comparison["esn"].items()},
+        "qrn_best": {str(n): v for n, v in esn_comparison["qrn"].items()},
+        "floor": esn_comparison["floor"]}))
+    assert got.keys() == want.keys()
+    moved = {k: (got[k], want[k]) for k in want
+             if not abs(got[k] - want[k])
+             <= METRIC_RTOL * max(abs(got[k]), abs(want[k]))}
+    assert not moved, f"{len(moved)} of {len(want)} values moved: {moved}"
 
 
 def test_13_hardware_out_of_scope():

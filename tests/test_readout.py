@@ -111,11 +111,14 @@ class TestRidgeFit:
         ones vector in their centred null space (about half of them factor
         without complaint); and a square and random wide ones, which also
         factor but have rank at most n - 1 < k once centred, so are refused
-        by count.  Regularized, each fits, as does one row more than columns
-        at 0."""
+        by count.  A ridge term at most eps * trace of the centred Gram
+        matrix is lost in its rounding and counts as none: the rows summing
+        to 1 raise at 1e-300, 1e-30 and half that bound too.  Regularized,
+        each fits, as does one row more than columns at 0."""
         rng = np.random.default_rng(0)
         designs = [np.ones((10, 3)), rng.normal(size=(3, 3))]
-        designs += [rng.dirichlet(np.ones(5), size=40) for _ in range(10)]
+        simplex = [rng.dirichlet(np.ones(5), size=40) for _ in range(10)]
+        designs += simplex
         for _ in range(100):
             n = int(rng.integers(2, 30))
             designs.append(rng.normal(size=(n, int(rng.integers(n, 60)))))
@@ -124,6 +127,12 @@ class TestRidgeFit:
             with pytest.raises(np.linalg.LinAlgError):
                 ridge_fit(x, y, alpha=0.0)
             ridge_fit(x, y, alpha=1e-6)  # regularized version is fine
+        for x in simplex:
+            xc = x - x.mean(axis=0)
+            bound = np.finfo(float).eps * np.trace(xc.T @ xc)
+            for alpha in (1e-300, 1e-30, bound / 2):
+                with pytest.raises(np.linalg.LinAlgError):
+                    ridge_fit(x, rng.normal(size=len(x)), alpha=alpha)
         ridge_fit(rng.normal(size=(4, 3)), rng.normal(size=4), alpha=0.0)
 
     def test_shape_validation(self):

@@ -20,7 +20,7 @@ from swapqrn.embedding import (
 )
 from swapqrn.tasks import EsnConfig, NarmaSpec, StmcSpec, run_esn_narma
 from swapqrn.reservoir import (
-    CHUNK, SPAWN_BATCH, ReservoirConfig, check_memory, step, run_exact,
+    CHUNK, ReservoirConfig, check_memory, step, run_exact,
     run_sampled, run_trajectories, run_features, bitstring_labels,
     features_to_csv, features_from_csv,
 )
@@ -418,15 +418,14 @@ class TestMemoryCheck:
         assert check_memory(odd, 10) == (
             256 * 10 * 3 + 3 * 16 * 64 + 2 ** 18 + 16 * 10 * (4 ** 2 + 2 ** 2)
             + 8 * 64 + 8 * 10 * 8 + 2 ** 18)
-        # one chunk of SPAWN_BATCH + 1 rows: one spawn batch of generators
-        # outweighs the workspace, embedded batch and per-row vectors
-        few = replace(cfg, backend="trajectory", n_shots=SPAWN_BATCH + 1)
-        rows = SPAWN_BATCH + 1
-        assert 1024 * SPAWN_BATCH > (64 + 16) * rows * 4 + 64 * rows
+        # one chunk of 257 rows: its workspace, embedded batch and per-row
+        # vectors; the one shot generator alive at a time fits in the
+        # 256 KiB small-object allowance
+        few = replace(cfg, backend="trajectory", n_shots=257)
         assert check_memory(few, 10) == (
-            rotations + 8 * rows * 10 * 2 + 1024 * SPAWN_BATCH + 24 * 16
-            + 4 * 16 * 16 + 2 * 8 * 10 * 4 + 2 ** 18)
-        traj = replace(few, n_shots=CHUNK + 1)  # the step arrays outweigh it
+            rotations + 8 * 257 * 10 * 2 + (64 + 16) * 257 * 4 + 64 * 257
+            + 24 * 16 + 4 * 16 * 16 + 2 * 8 * 10 * 4 + 2 ** 18)
+        traj = replace(few, n_shots=CHUNK + 1)  # one full chunk
         assert check_memory(traj, 10) == (
             rotations + 8 * CHUNK * 10 * 2 + (64 + 16) * CHUNK * 4
             + 64 * CHUNK + 24 * 16 + 4 * 16 * 16 + 2 * 8 * 10 * 4 + 2 ** 18)
@@ -750,23 +749,25 @@ class TestRunTrajectories:
         tv = 0.5 * np.abs(freq - exact).sum(axis=1)
         assert tv.max() < 0.05
 
-    def test_equals_per_shot_collapse_loop(self, monkeypatch):
+    @pytest.mark.parametrize("n_repeats", [1, 3])
+    def test_equals_per_shot_collapse_loop(self, monkeypatch, n_repeats):
         """The batched kernel reproduces shot-by-shot collapse streams, keyed
         by a sweep point's ``[seed, point_index]``: 300 shots as a chunk of
-        280, which spawns a batch of SPAWN_BATCH and one of 24, and a chunk
-        of 20; every shot's generator is spawned once."""
-        n_shots, t_len = SPAWN_BATCH + 44, 6
-        monkeypatch.setattr(reservoir, "CHUNK", SPAWN_BATCH + 24)
+        280 and a chunk of 20, at one and three repeats of the embedding
+        block; every shot's generator is spawned once."""
+        n_shots, t_len = 300, 6
+        monkeypatch.setattr(reservoir, "CHUNK", 280)
         w = init_weights(3, c=1, n_mem=2)
         u = np.random.default_rng(4).random(t_len)
-        cfg = ReservoirConfig(n_qubits=4, gamma=0.5, backend="trajectory",
-                              n_shots=n_shots)
+        cfg = ReservoirConfig(n_qubits=4, gamma=0.5, n_repeats=n_repeats,
+                              backend="trajectory", n_shots=n_shots)
         rng = np.random.default_rng([31, 2])
         freq = run_trajectories(u, w, cfg, rng)
         assert rng.bit_generator.seed_seq.n_children_spawned == n_shots
 
         unitaries = [embedding_unitary(compute_angles(context_window(u, t, 1), w),
-                                       w.w_hidden, 1) for t in range(t_len)]
+                                       w.w_hidden, n_repeats)
+                     for t in range(t_len)]
         counts = np.zeros((t_len, 4))
         for child in np.random.default_rng([31, 2]).spawn(n_shots):
             psi = np.zeros(4, dtype=complex)
